@@ -43,6 +43,7 @@ from .search import (
     PredicateSpec,
     SearchReport,
     are_isomorphic,
+    canonical_certificate,
     canonical_form,
     canonical_graph6,
     census_rows,

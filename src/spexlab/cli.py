@@ -6,7 +6,9 @@ between commands as graph6 lines, so invocations compose through pipes, e.g.
     spexlab construct --family ygraph --r 3 --n 9 | spexlab spectrum --in -
 
 Exit codes: 0 success, 1 a verification subcommand found a failure, 2 usage
-or input error (bad flags, missing file, malformed graph6 line).
+or input error (bad flags, missing file, malformed graph6 line), 3 internal
+failure (the eigensolver did not converge, or recursion ran too deep), reported
+as one line on stderr.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .graphs import (
 from .quotient import verify_lemma32
 from .random_graphs import random_connected_graph, random_multipartite
 from .search import PredicateSpec, conjecture_scan, ex_search, lemma27_scan, spex_search
-from .spectral import rotate_edges, spectral_radius
+from .spectral import ConvergenceError, rotate_edges, spectral_radius
 from .structure import chromatic_number, contains_generalized_book, is_color_critical, is_r_colorable
 
 
@@ -57,6 +59,16 @@ def _int_pair(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected R,K")
     return int(parts[0]), int(parts[1])
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -118,10 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("wilf", help="clique-free spectral bound on random r-partite graphs")
     v.add_argument("--r", type=int, required=True)
     v.add_argument("--n-max", type=int, required=True)
-    v.add_argument("--trials", type=int, default=200)
+    v.add_argument("--trials", type=_positive_int, default=200)
     v.add_argument("--seed", type=int, default=0)
     v = vsub.add_parser("rotation", help="strict spectral increase of valid rotations")
-    v.add_argument("--trials", type=int, required=True)
+    v.add_argument("--trials", type=_positive_int, required=True)
     v.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("scan", help="conjecture sweep over the small-order census")
@@ -157,6 +169,11 @@ class _InputError(Exception):
     pass
 
 
+def _emit(doc: dict) -> None:
+    """One strict JSON line on stdout (no NaN or Infinity)."""
+    print(json.dumps(doc, allow_nan=False))
+
+
 def _cmd_construct(args) -> int:
     family = args.family
     spec = FamilySpec(
@@ -169,8 +186,8 @@ def _cmd_construct(args) -> int:
     )
     g = spec.build()
     if args.format == "json":
-        print(json.dumps({"family": family, "order": g.n, "size": g.edge_count,
-                          "graph6": graph6_encode(g)}))
+        _emit({"family": family, "order": g.n, "size": g.edge_count,
+               "graph6": graph6_encode(g)})
     else:
         print(graph6_encode(g))
     return 0
@@ -179,7 +196,7 @@ def _cmd_construct(args) -> int:
 def _cmd_spectrum(args) -> int:
     for _, g in _read_graph_lines(args.infile):
         res = spectral_radius(g, tol=args.tol, max_iter=args.maxiter, seed=args.seed)
-        print(json.dumps({
+        _emit({
             "order": g.n,
             "size": g.edge_count,
             "rho": res.rho,
@@ -187,7 +204,7 @@ def _cmd_spectrum(args) -> int:
             "residual": res.residual,
             "iterations": res.iterations,
             "disconnected": res.disconnected,
-        }))
+        })
     return 0
 
 
@@ -211,7 +228,7 @@ def _cmd_check(args) -> int:
             has, edge = is_color_critical(g)
             out["color_critical"] = has
             out["critical_edge"] = list(edge) if edge else None
-        print(json.dumps(out))
+        _emit(out)
     return 0
 
 
@@ -246,20 +263,20 @@ def _cmd_search(args) -> int:
         writer.writerows(report.to_csv_rows())
         sys.stdout.write(buf.getvalue())
     else:
-        print(json.dumps(report.to_json_dict()))
+        _emit(report.to_json_dict())
     return 0
 
 
 def _cmd_verify(args) -> int:
     if args.pipeline == "lemma32":
         rep = verify_lemma32(args.n)
-        print(json.dumps(rep.to_json_dict()))
+        _emit(rep.to_json_dict())
         return 0 if rep.ok else 1
     if args.pipeline == "lemma27":
         rep = lemma27_scan(args.r, args.n)
         out = rep.to_json_dict()
         out["pass"] = rep.argmax_is_y and rep.unique
-        print(json.dumps(out))
+        _emit(out)
         return 0 if out["pass"] else 1
     if args.pipeline == "lemma28":
         return _verify_lemma28(args.r, args.n_max)
@@ -282,8 +299,8 @@ def _verify_lemma28(r: int, n_max: int) -> int:
         if not (identity and lower):
             bad.append({"n": n, "identity": identity, "lower_bound": lower})
     ok = not bad
-    print(json.dumps({"pipeline": "lemma28", "r": r, "n_max": n_max,
-                      "checked": n_max - 2 * r + 1, "failures": bad, "pass": ok}))
+    _emit({"pipeline": "lemma28", "r": r, "n_max": n_max,
+           "checked": n_max - 2 * r + 1, "failures": bad, "pass": ok})
     return 0 if ok else 1
 
 
@@ -305,9 +322,9 @@ def _verify_wilf(r: int, n_max: int, trials: int, seed: int) -> int:
         if rho > bound + 1e-9:
             failures.append({"n": n, "rho": rho, "bound": bound})
     ok = not failures
-    print(json.dumps({"pipeline": "wilf", "r": r, "n_max": n_max, "trials": trials,
-                      "seed": seed, "worst_margin": worst, "failures": failures,
-                      "pass": ok}))
+    _emit({"pipeline": "wilf", "r": r, "n_max": n_max, "trials": trials,
+           "seed": seed, "worst_margin": worst, "failures": failures,
+           "pass": ok})
     return 0 if ok else 1
 
 
@@ -338,14 +355,14 @@ def _verify_rotation(trials: int, seed: int) -> int:
             failures.append({"gain": gain, "graph6": graph6_encode(g)})
         done += 1
     ok = not failures
-    print(json.dumps({"pipeline": "rotation", "trials": trials, "seed": seed,
-                      "min_gain": min_gain, "failures": failures, "pass": ok}))
+    _emit({"pipeline": "rotation", "trials": trials, "seed": seed,
+           "min_gain": min_gain, "failures": failures, "pass": ok})
     return 0 if ok else 1
 
 
 def _cmd_scan(args) -> int:
     rep = conjecture_scan(args.kind, args.max_n, r=args.r, k=args.k, tol=args.tol)
-    print(json.dumps(rep.to_json_dict()))
+    _emit(rep.to_json_dict())
     return 0
 
 
@@ -382,6 +399,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ConvergenceError, RecursionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

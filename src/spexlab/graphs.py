@@ -57,9 +57,6 @@ class Graph:
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted((r.bit_count() for r in self.rows), reverse=True))
 
-    def neighbors_mask(self, v: int) -> int:
-        return self.rows[v]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bits(self.rows[v]))
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .graphs import Graph, y_graph, y_graph_layout
+from .graphs import Graph, bits, y_graph, y_graph_layout
 from .spectral import spectral_radius
-from .structure import Partition
+from .structure import Partition, color_refine
 
 
 class EquitabilityError(ValueError):
@@ -254,30 +254,13 @@ def equitable_refine(g: Graph, initial: Partition) -> Partition:
     """Coarsest equitable partition refining ``initial`` (colour refinement).
 
     Cells split by their vector of neighbour counts into the current cells;
-    sub-cells are ordered by signature, so the result is deterministic. The
-    output is re-verified equitable by a direct row-sum check.
+    sub-cells are ordered by signature, so the result is deterministic (see
+    ``structure.color_refine``, shared with canonical labelling). The output
+    is re-verified equitable by a direct row-sum check.
     """
     initial.validate(g.n, allow_empty=False)
-    cells = [tuple(sorted(c)) for c in initial.cells]
-    while True:
-        masks = [sum(1 << v for v in c) for c in cells]
-        new_cells = []
-        changed = False
-        for c in cells:
-            sig = {}
-            for v in c:
-                key = tuple((g.rows[v] & m).bit_count() for m in masks)
-                sig.setdefault(key, []).append(v)
-            if len(sig) == 1:
-                new_cells.append(c)
-            else:
-                changed = True
-                for key in sorted(sig):
-                    new_cells.append(tuple(sig[key]))
-        cells = new_cells
-        if not changed:
-            break
-    out = Partition(tuple(cells))
+    cells = color_refine(g.rows, initial.masks())
+    out = Partition(tuple(tuple(bits(c)) for c in cells))
     quotient_matrix(g, out)  # direct verification; raises if refinement failed
     return out
 

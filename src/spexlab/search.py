@@ -2,10 +2,16 @@
 searches built on it: spectral/edge maximisation under predicates, the
 construction-family scan, hill climbing, and the conjecture sweeps.
 
-Canonical form: the lexicographically minimal upper-triangle bit string over
-all vertex orderings (read column by column, so each new vertex appends its
-adjacency to the previous ones). The branch-and-bound prunes by prefix
-dominance against the best string found and by twin-class symmetry.
+Two labellings serve different purposes. The canonical certificate decides
+isomorphism: colour refinement plus individualisation (McKay & Piperno,
+"Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014), keeping the
+smallest relabelled row tuple over the leaves of the search tree. The
+canonical form is the published representative: the lexicographically minimal
+upper-triangle bit string over all vertex orderings (read column by column, so
+each new vertex appends its adjacency to the previous ones), found by a
+branch-and-bound that prunes by prefix dominance against the best string found
+and by twin-class symmetry. The enumeration dedupes candidates by certificate
+and computes the lex-min form once per new class.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .graphs import Graph, bits, graph6_encode, u_graph, y_graph
 from .spectral import spectral_radius
 from .structure import (
     FeasibilityError,
+    color_refine,
     contains_clique,
     contains_generalized_book,
     is_complete_bipartite,
@@ -37,6 +44,79 @@ PRECISE_TIE_TOL = 1e-12
 # ---------------------------------------------------------------------
 
 
+def _twin_keys(rows: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Per vertex, ids of its open and closed neighbourhoods: vertices sharing
+    either id are twins, so swapping them is an automorphism."""
+    open_ids: dict[int, int] = {}
+    closed_ids: dict[int, int] = {}
+    return [
+        (
+            open_ids.setdefault(r, len(open_ids)),
+            closed_ids.setdefault(r | (1 << v), len(closed_ids)),
+        )
+        for v, r in enumerate(rows)
+    ]
+
+
+def canonical_certificate(g: Graph) -> tuple[int, ...]:
+    """Isomorphism certificate: g and h are isomorphic iff their certificates
+    are equal.
+
+    Search tree of ordered partitions. The root is the colour refinement of
+    the unit partition (its first round is the degree partition). A node
+    branches on the vertices of its first non-singleton cell, individualising
+    each and refining again; a vertex that is a twin of one already tried is
+    skipped, because swapping the two is an automorphism fixing the node. A
+    cell that is one twin class is split into singletons directly: branching
+    and refinement would change nothing there. Every leaf is a vertex
+    ordering, and the certificate is the smallest row tuple of g relabelled by
+    a leaf ordering.
+    """
+    n = g.n
+    rows = g.rows
+    twin_keys = _twin_keys(rows)
+    best: Optional[tuple[int, ...]] = None
+    stack = [color_refine(rows, [(1 << n) - 1] if n else [])]
+    while stack:
+        cells = stack.pop()
+        for idx, c in enumerate(cells):
+            if c & (c - 1):
+                break
+        else:
+            order = [cell.bit_length() - 1 for cell in cells]
+            pos = [0] * n
+            for p, v in enumerate(order):
+                pos[v] = p
+            leaf = []
+            for v in order:
+                r = rows[v]
+                x = 0
+                while r:
+                    low = r & -r
+                    x |= 1 << pos[low.bit_length() - 1]
+                    r ^= low
+                leaf.append(x)
+            cert = tuple(leaf)
+            if best is None or cert < best:
+                best = cert
+            continue
+        members = list(bits(c))
+        keys = [twin_keys[v] for v in members]
+        if len({k[0] for k in keys}) == 1 or len({k[1] for k in keys}) == 1:
+            stack.append(cells[:idx] + [1 << v for v in members] + cells[idx + 1:])
+            continue
+        seen_open: set[int] = set()
+        seen_closed: set[int] = set()
+        for v, (oid, cid) in zip(members, keys):
+            if oid in seen_open or cid in seen_closed:
+                continue
+            seen_open.add(oid)
+            seen_closed.add(cid)
+            child = cells[:idx] + [1 << v, c ^ (1 << v)] + cells[idx + 1:]
+            stack.append(color_refine(rows, child))
+    return best
+
+
 def canonical_perm(g: Graph) -> list[int]:
     """Ordering of the vertices (position -> vertex) whose column-block string
     is lexicographically minimal.
@@ -51,13 +131,7 @@ def canonical_perm(g: Graph) -> list[int]:
     if n <= 1:
         return list(range(n))
     rows = g.rows
-    open_ids: dict[int, int] = {}
-    closed_ids: dict[int, int] = {}
-    twin_keys = []
-    for v in range(n):
-        oid = open_ids.setdefault(rows[v], len(open_ids))
-        cid = closed_ids.setdefault(rows[v] | (1 << v), len(closed_ids))
-        twin_keys.append((oid, cid))
+    twin_keys = _twin_keys(rows)
     best_blocks: list[int] = []
     best_perm: list[int] = []
     have_best = False
@@ -137,7 +211,7 @@ def canonical_graph6(g: Graph) -> str:
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    return canonical_form(g).rows == canonical_form(h).rows
+    return canonical_certificate(g) == canonical_certificate(h)
 
 
 # ---------------------------------------------------------------------
@@ -147,9 +221,11 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 def _orderly_levels(n: int, keep: Optional[Callable[[Graph], bool]]) -> Iterator[Graph]:
     """Orderly generation by edge augmentation: every canonical graph with m
-    edges arises from a canonical graph with m-1 edges plus one edge, then a
-    canonicity test dedupes. ``keep`` must be closed under edge deletion; it
-    prunes whole subtrees without losing any graph that satisfies it."""
+    edges arises from a canonical graph with m-1 edges plus one edge. The
+    children are deduped by canonical certificate, and only a new certificate
+    pays for the lex-min canonical form, once per class. ``keep`` must be
+    closed under edge deletion; it prunes whole subtrees without losing any
+    graph that satisfies it."""
     start = Graph(n, tuple([0] * n))
     if keep is not None and not keep(start):
         return
@@ -166,15 +242,17 @@ def _orderly_levels(n: int, keep: Optional[Callable[[Graph], bool]]) -> Iterator
                 cand_rows[i] |= 1 << j
                 cand_rows[j] |= 1 << i
                 candidates.add(tuple(cand_rows))
-        nxt: set[tuple[int, ...]] = set()
+        classes: dict[tuple[int, ...], tuple[int, ...]] = {}
         for cand_rows in candidates:
             cand = Graph(n, cand_rows)
             if keep is not None and not keep(cand):
                 continue
-            nxt.add(canonical_form(cand).rows)
-        for rows in sorted(nxt, key=lambda rt: graph6_encode(Graph(n, rt))):
+            cert = canonical_certificate(cand)
+            if cert not in classes:
+                classes[cert] = canonical_form(cand).rows
+        level = set(classes.values())
+        for rows in sorted(level, key=lambda rt: graph6_encode(Graph(n, rt))):
             yield Graph(n, rows)
-        level = nxt
 
 
 @lru_cache(maxsize=64)
@@ -445,7 +523,7 @@ class FamilyScanReport:
     max_rho: float
     argmax_is_y: bool
     configs_scanned: int
-    gap_to_non_isomorphic: float
+    gap_to_non_isomorphic: Optional[float]  # None: every configuration is y_graph
     unique: bool
 
     def to_json_dict(self) -> dict:
@@ -529,20 +607,20 @@ def lemma27_scan(
         raise FeasibilityError(
             f"family scan guard: {len(configs)} configurations exceed {config_guard}"
         )
-    y_key = canonical_form(y_graph(r, n)).rows
+    y_key = canonical_certificate(y_graph(r, n))
     best_rho = -math.inf
     best_is_y = False
     best_other = -math.inf
     for sizes, ia, ib in configs:
         g = _family_config_graph(sizes, ia, ib, n)
         rho = spectral_radius(g, tol=tol).rho
-        is_y = canonical_form(g).rows == y_key
+        is_y = canonical_certificate(g) == y_key
         if rho > best_rho:
             best_rho = rho
             best_is_y = is_y
         if not is_y and rho > best_other:
             best_other = rho
-    gap = best_rho - best_other
+    gap = None if best_other == -math.inf else best_rho - best_other
     return FamilyScanReport(
         r=r,
         n=n,
@@ -550,7 +628,7 @@ def lemma27_scan(
         argmax_is_y=best_is_y,
         configs_scanned=len(configs),
         gap_to_non_isomorphic=gap,
-        unique=best_is_y and gap > unique_margin,
+        unique=best_is_y and (gap is None or gap > unique_margin),
     )
 
 

@@ -57,6 +57,40 @@ class Partition:
         return out
 
 
+def color_refine(rows: Sequence[int], cells: Sequence[int]) -> list[int]:
+    """Coarsest equitable refinement of an ordered partition given as vertex
+    masks (colour refinement).
+
+    Each round splits every cell by its vertices' vectors of neighbour counts
+    into the current cells; the sub-cells take the cell's place in ascending
+    vector order. The output order depends only on the graph and the input
+    order, never on vertex labels, which makes it usable for canonical
+    labelling as well as for quotients.
+    """
+    cells = list(cells)
+    while True:
+        out = []
+        for c in cells:
+            if not c & (c - 1):
+                out.append(c)
+                continue
+            sig: dict[tuple[int, ...], int] = {}
+            m = c
+            while m:
+                low = m & -m
+                r = rows[low.bit_length() - 1]
+                key = tuple([(r & x).bit_count() for x in cells])
+                sig[key] = sig.get(key, 0) | low
+                m ^= low
+            if len(sig) == 1:
+                out.append(c)
+            else:
+                out.extend([sig[k] for k in sorted(sig)])
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
 # ---------------------------------------------------------------------
 # cliques
 # ---------------------------------------------------------------------

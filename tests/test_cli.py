@@ -139,6 +139,50 @@ def test_verify_rotation(capsys):
     assert doc["pass"] and doc["min_gain"] > 1e-9
 
 
+def test_verify_trials_must_be_positive(capsys):
+    for argv in (["wilf", "--r", "3", "--n-max", "10"], ["rotation"]):
+        for trials in ("0", "-3"):
+            code, out, err = run(capsys, "verify", *argv, "--trials", trials)
+            assert code == 2 and out == ""
+            assert "--trials" in err
+
+
+def strict_json(text):
+    def reject(name):
+        raise AssertionError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_output_is_strict(capsys):
+    # a single configuration has no rival: the gap is null, not Infinity
+    code, out, _ = run(capsys, "verify", "lemma27", "--r", "2", "--n", "4")
+    doc = strict_json(out)
+    assert code == 0 and doc["gap_to_non_isomorphic"] is None and doc["pass"]
+    code, out, _ = run(capsys, "verify", "rotation", "--trials", "1")
+    assert code == 0 and strict_json(out)["pass"]
+
+
+def test_internal_failure_exit_code(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(y_graph(3, 9)) + "\n"))
+    code, out, err = run(capsys, "spectrum", "--in", "-", "--maxiter", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ConvergenceError")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    import spexlab.cli as cli_mod
+
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli_mod, "chromatic_number", too_deep)
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(turan(3, 6)) + "\n"))
+    code, out, err = run(capsys, "check", "--in", "-", "--chromatic")
+    assert code == 3 and err.startswith("internal error: RecursionError")
+
+
 def test_scan_cli(capsys):
     code, out, _ = run(capsys, "scan", "--kind", "nosal_book", "--max-n", "5", "--k", "1")
     assert code == 0

@@ -130,6 +130,13 @@ def test_census_graphs_are_canonical_and_ordered():
         prev = key
 
 
+def test_triangle_free_counts_match_oeis():
+    # OEIS A006785: triangle-free graphs on n unlabeled nodes
+    for n, count in {7: 107, 8: 410}.items():
+        rep = ex_search(n, PredicateSpec(forbid_clique=3))
+        assert rep.graphs_scanned == rep.feasible_count == count, n
+
+
 def test_census_pairwise_distinct_by_independent_canon():
     forms = [brute_canonical_graph6(g) for g in enumerate_graphs(6)]
     assert len(set(forms)) == len(forms) == 156
@@ -235,6 +242,9 @@ def test_lemma27_scan_small():
     assert rep.max_rho == pytest.approx(spectral_radius(y_graph(3, 9)).rho, abs=1e-8)
     assert rep.configs_scanned > 1
     rep = lemma27_scan(4, 12)
+    assert rep.argmax_is_y and rep.unique
+    rep = lemma27_scan(2, 4)  # one configuration: no rival, so no gap
+    assert rep.configs_scanned == 1 and rep.gap_to_non_isomorphic is None
     assert rep.argmax_is_y and rep.unique
     with pytest.raises(ValueError):
         lemma27_scan(3, 5)
