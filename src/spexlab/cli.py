@@ -7,8 +7,9 @@ between commands as graph6 lines, so invocations compose through pipes, e.g.
 
 Exit codes: 0 success, 1 a verification subcommand found a failure, 2 usage
 or input error (bad flags, missing file, malformed graph6 line), 3 internal
-failure (the eigensolver did not converge, or recursion ran too deep), reported
-as one line on stderr.
+failure (power iteration on a component above 64 vertices did not converge, a
+recursion ran too deep, an arithmetic fault or any other unexpected exception),
+reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -38,20 +37,8 @@ from .graphs import (
 from .quotient import verify_lemma32
 from .random_graphs import random_connected_graph, random_multipartite
 from .search import PredicateSpec, conjecture_scan, ex_search, lemma27_scan, spex_search
-from .spectral import ConvergenceError, rotate_edges, spectral_radius
+from .spectral import rotate_edges, spectral_radius
 from .structure import chromatic_number, contains_generalized_book, is_color_critical, is_r_colorable
-
-
-@dataclass(frozen=True)
-class CommandSpec:
-    """Validated invocation: subcommand, typed flags, output format, seeds."""
-
-    subcommand: str
-    args: argparse.Namespace
-    fmt: str
-    jobs: int
-    seed: int
-    tol: float
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -95,6 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="spectral radius of each input graph")
     p.add_argument("--in", dest="infile", required=True, help="graph6 file or - for stdin")
+    # components of at most 64 vertices are solved by eigh; these three flags
+    # drive the power iteration on larger ones
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--maxiter", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
@@ -113,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid-clique", type=int, metavar="Q")
     p.add_argument("--non-r-partite", type=int, metavar="R")
     p.add_argument("--connected", action="store_true")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--format", default="json", choices=["json", "csv"])
 
     p = sub.add_parser("verify", help="run one verification pipeline; exit 1 on failure")
@@ -232,18 +219,6 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _effective_jobs(flag: Optional[int]) -> int:
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get("SPEXLAB_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _cmd_search(args) -> int:
     pred = PredicateSpec(
         forbid_book=args.forbid_book,
@@ -251,11 +226,8 @@ def _cmd_search(args) -> int:
         require_connected=args.connected,
         forbid_clique=args.forbid_clique,
     )
-    jobs = _effective_jobs(args.jobs)
-    if args.mode == "spex":
-        report = spex_search(args.n, pred, jobs=jobs, tol=args.tol)
-    else:
-        report = ex_search(args.n, pred, jobs=jobs)
+    search = spex_search if args.mode == "spex" else ex_search
+    report = search(args.n, pred)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -366,21 +338,9 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def parse_command(argv: Optional[list[str]] = None) -> CommandSpec:
-    args = build_parser().parse_args(argv)
-    return CommandSpec(
-        subcommand=args.subcommand,
-        args=args,
-        fmt=getattr(args, "format", "json"),
-        jobs=_effective_jobs(getattr(args, "jobs", None)),
-        seed=getattr(args, "seed", 0),
-        tol=getattr(args, "tol", 1e-10),
-    )
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        spec = parse_command(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     handler = {
@@ -390,16 +350,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         "search": _cmd_search,
         "verify": _cmd_verify,
         "scan": _cmd_scan,
-    }[spec.subcommand]
+    }[args.subcommand]
     try:
-        return handler(spec.args)
-    except _InputError as exc:
+        return handler(args)
+    except (_InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, RecursionError) as exc:
+    except Exception as exc:  # ConvergenceError, RecursionError, ArithmeticError, bugs
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -167,24 +167,28 @@ def complete_graph(n: int) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
-    g = empty_graph(n)
-    for i in range(n - 1):
-        g = g.add_edge(i, i + 1)
-    return g
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    g = path_graph(n)
-    return g.add_edge(n - 1, 0)
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    g = empty_graph(n)
+    """Graph on 0..n-1 with the given edges; repeated edges are merged."""
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    rows = [0] * n
     for i, j in edges:
-        g = g.add_edge(i, j)
-    return g
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
+        if i == j:
+            raise ValueError(f"cannot add a loop at vertex {i}")
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -306,10 +310,7 @@ def u_graph(m: int) -> Graph:
     """Triangle with m - 3 pendant edges at one vertex; order m, size m."""
     if m < 3:
         raise ValueError("need m >= 3")
-    g = from_edges(m, [(0, 1), (0, 2), (1, 2)])
-    for p in range(3, m):
-        g = g.add_edge(0, p)
-    return g
+    return from_edges(m, [(1, 2)] + [(0, p) for p in range(1, m)])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Callable, Iterator, Optional
 
 from .graphs import Graph, bits, graph6_encode, u_graph, y_graph
-from .spectral import spectral_radius
+from .spectral import TIE_TOL, spectral_radius
 from .structure import (
     FeasibilityError,
     color_refine,
@@ -35,8 +35,6 @@ from .structure import (
 )
 
 ENUMERATION_HARD_GUARD = 10
-SCAN_TIE_TOL = 1e-8
-PRECISE_TIE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------
@@ -403,32 +401,12 @@ def _feasible_graphs(n: int, pred: PredicateSpec) -> tuple[list[Graph], int]:
     return feasible, len(census)
 
 
-def _rho_of_rows(args):
-    rows, tol, precise = args
-    return spectral_radius(Graph(len(rows), rows), tol=tol, precise=precise).rho
-
-
-def _map_jobs(fn, items, jobs: int):
-    if jobs <= 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    import multiprocessing as mp
-
-    with mp.Pool(jobs) as pool:
-        return pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs)))
-
-
-def spex_search(
-    n: int,
-    pred: PredicateSpec,
-    jobs: int = 1,
-    tol: float = 1e-10,
-    tie_tol: float = SCAN_TIE_TOL,
-) -> SearchReport:
+def spex_search(n: int, pred: PredicateSpec) -> SearchReport:
     """Exhaustive spectral-radius maximisation over the feasible classes.
 
-    Near-ties within ``tie_tol`` of the scan maximum are re-evaluated with
-    exactly rounded accumulation at 1e-13 before champions are declared;
-    graphs still tied after that are all reported rather than forced unique.
+    Every class within ``TIE_TOL`` of the maximum radius is a champion, so
+    ties are all reported rather than forced unique; the gap is measured to
+    the best remaining class.
     """
     feasible, scanned = _feasible_graphs(n, pred)
     if not feasible:
@@ -443,30 +421,19 @@ def spex_search(
             feasible_count=0,
             ties_within_tol=(),
         )
-    rhos = _map_jobs(_rho_of_rows, [(g.rows, tol, False) for g in feasible], jobs)
-    top = max(rhos)
-    near_idx = [i for i, r in enumerate(rhos) if r >= top - tie_tol]
-    precise = {
-        i: _rho_of_rows((feasible[i].rows, 1e-13, True)) for i in near_idx
-    }
-    best = max(precise.values())
-    champ_idx = [i for i in near_idx if precise[i] >= best - PRECISE_TIE_TOL]
-    champ_idx.sort(key=lambda i: canonical_graph6(feasible[i]))
-    champions = tuple((canonical_graph6(feasible[i]), precise[i]) for i in champ_idx)
-    runner = None
-    champ_set = set(champ_idx)
-    for i, r in enumerate(rhos):
-        val = precise.get(i, r)
-        if i not in champ_set and (runner is None or val > runner):
-            runner = val
-    gap = None if runner is None else best - runner
+    rhos = [spectral_radius(g).rho for g in feasible]
+    best = max(rhos)
+    champions = tuple(sorted(
+        (canonical_graph6(g), rho) for g, rho in zip(feasible, rhos) if rho >= best - TIE_TOL
+    ))
+    runner = max((rho for rho in rhos if rho < best - TIE_TOL), default=None)
     ties = tuple(g6 for g6, _ in champions) if len(champions) > 1 else ()
     return SearchReport(
         n=n,
         predicate=pred,
         objective="rho",
         champions=champions,
-        gap_to_runner_up=gap,
+        gap_to_runner_up=None if runner is None else best - runner,
         exhaustive=True,
         graphs_scanned=scanned,
         feasible_count=len(feasible),
@@ -474,7 +441,7 @@ def spex_search(
     )
 
 
-def ex_search(n: int, pred: PredicateSpec, jobs: int = 1) -> SearchReport:
+def ex_search(n: int, pred: PredicateSpec) -> SearchReport:
     """Exhaustive edge-count maximisation; ties are exact."""
     feasible, scanned = _feasible_graphs(n, pred)
     if not feasible:

@@ -92,18 +92,6 @@ def test_search_json_and_csv(capsys):
     assert lines[1].split(",")[3] == "6"
 
 
-def test_search_jobs_env_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv("SPEXLAB_JOBS", "2")
-    code, out_env, _ = run(capsys, "search", "spex", "--n", "5", "--forbid-clique", "3")
-    assert code == 0
-    monkeypatch.delenv("SPEXLAB_JOBS")
-    code, out_flag, _ = run(capsys, "search", "spex", "--n", "5", "--forbid-clique", "3",
-                            "--jobs", "2")
-    assert code == 0
-    code, out_serial, _ = run(capsys, "search", "spex", "--n", "5", "--forbid-clique", "3")
-    assert out_env == out_flag == out_serial
-
-
 def test_verify_lemma32_pass_and_json(capsys):
     code, out, _ = run(capsys, "verify", "lemma32", "--n", "10")
     assert code == 0
@@ -166,7 +154,7 @@ def test_json_output_is_strict(capsys):
 def test_internal_failure_exit_code(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(y_graph(3, 9)) + "\n"))
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(y_graph(3, 90)) + "\n"))
     code, out, err = run(capsys, "spectrum", "--in", "-", "--maxiter", "3")
     assert code == 3 and out == ""
     assert err.startswith("internal error: ConvergenceError")
@@ -181,6 +169,19 @@ def test_internal_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(turan(3, 6)) + "\n"))
     code, out, err = run(capsys, "check", "--in", "-", "--chromatic")
     assert code == 3 and err.startswith("internal error: RecursionError")
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError, RuntimeError])
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch, exc):
+    import spexlab.cli as cli_mod
+
+    def broken(*args, **kwargs):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli_mod, "verify_lemma32", broken)
+    code, out, err = run(capsys, "verify", "lemma32", "--n", "10")
+    assert code == 3 and out == ""
+    assert err == f"internal error: {exc.__name__}: boom\n"
 
 
 def test_scan_cli(capsys):

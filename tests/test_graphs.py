@@ -241,3 +241,20 @@ def test_disjoint_union():
 def test_from_edges_roundtrip():
     g = from_edges(4, [(0, 2), (1, 3)])
     assert sorted(g.edges()) == [(0, 2), (1, 3)]
+    assert from_edges(3, [(0, 1), (1, 0), (0, 1)]).rows == path_graph(2).rows + (0,)
+
+
+@pytest.mark.parametrize("edge, message", [
+    ((1, 1), "loop"), ((0, 4), "outside"), ((4, 0), "outside"),
+    ((-1, 2), "outside"), ((2, -1), "outside"),
+])
+def test_from_edges_rejects_bad_endpoints(edge, message):
+    with pytest.raises(ValueError, match=message):
+        from_edges(4, [(0, 1), edge])
+
+
+def test_long_path_builds_directly():
+    g = path_graph(2000)
+    assert g.edge_count == 1999 and g.degree(0) == g.degree(1999) == 1
+    assert g.rows[1000] == (1 << 999) | (1 << 1001)
+    assert cycle_graph(2000).rows[0] == (1 << 1) | (1 << 1999)

@@ -14,11 +14,16 @@ from spexlab.graphs import (
     make_multipartite,
     path_graph,
     turan,
-    y_graph,
 )
 from spexlab.random_graphs import random_connected_graph, random_graph
+from spexlab.search import enumerate_graphs
 from spexlab.spectral import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    DENSE_MAX_N,
     ConvergenceError,
+    _power_iterate_dense,
+    adjacency_matrix,
     check_wilf,
     deletion_bound,
     rayleigh_quotient,
@@ -58,11 +63,41 @@ def test_disconnected_max_over_components():
     assert all(x == 0 for x in res.vector[3:])
 
 
-def test_precise_mode_agrees():
-    g = y_graph(3, 12)
-    a = spectral_radius(g).rho
-    b = spectral_radius(g, tol=1e-13, precise=True).rho
-    assert abs(a - b) < 1e-9
+def test_adjacency_matrix_matches_edge_list():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 8, 9, 63, 64, 65, 130):
+        g = random_graph(n, 0.4, rng)
+        ref = np.zeros((n, n))
+        for i, j in g.edges():
+            ref[i, j] = ref[j, i] = 1.0
+        assert np.array_equal(adjacency_matrix(g), ref)
+
+
+def test_dense_solver_matches_power_iteration_on_census():
+    for g in enumerate_graphs(7):
+        comp_rhos = []
+        for comp in g.components():
+            h = g.induced(comp)
+            rho = spectral_radius(h).rho
+            power = _power_iterate_dense(adjacency_matrix(h), DEFAULT_TOL, DEFAULT_MAX_ITER, 0)
+            assert abs(rho - power[0]) <= 1e-9
+            comp_rhos.append(rho)
+        assert spectral_radius(g).rho == max(comp_rhos)
+
+
+@pytest.mark.parametrize("n", [DENSE_MAX_N, DENSE_MAX_N + 1])
+def test_both_sides_of_dense_threshold_match_eigh(n):
+    rng = np.random.default_rng(n)
+    for p in (0.1, 0.3, 0.7):
+        g = random_connected_graph(n, p, rng)
+        res = spectral_radius(g)
+        a = adjacency_matrix(g)
+        assert abs(res.rho - np.linalg.eigvalsh(a)[-1]) <= 1e-9
+        top = np.abs(np.linalg.eigh(a)[1][:, -1])
+        perron = top / top.max()
+        assert np.abs(np.array(res.vector) - perron).max() <= 1e-8
+        assert res.residual <= 1e-10
+        assert (res.iterations == 0) == (n <= DENSE_MAX_N)
 
 
 def test_permutation_invariance():
@@ -167,7 +202,7 @@ def test_rotation_strictly_increases_rho():
 
 def test_convergence_error_carries_residual():
     with pytest.raises(ConvergenceError) as ei:
-        spectral_radius(path_graph(30), tol=1e-14, max_iter=3)
+        spectral_radius(path_graph(100), tol=1e-14, max_iter=3)
     assert ei.value.residual > 0
     assert ei.value.iterations == 3
 
