@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 
 class Graph6ParseError(ValueError):
     """Malformed graph6 input; ``offset`` is the byte position of the defect."""
@@ -21,7 +23,8 @@ class Graph6ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with bit-packed symmetric adjacency rows."""
+    """Simple undirected graph with bit-packed symmetric adjacency rows, validated
+    here; graphs derived in this module are valid by construction (``_unchecked``)."""
 
     n: int
     rows: tuple[int, ...]
@@ -33,14 +36,24 @@ class Graph:
             raise ValueError("adjacency must have exactly n rows")
         full = (1 << self.n) - 1
         for i, r in enumerate(self.rows):
+            if not isinstance(r, int):
+                raise ValueError(f"row {i} is not an int")
             if r & ~full:
                 raise ValueError(f"row {i} has bits outside 0..n-1")
-            if (r >> i) & 1:
-                raise ValueError(f"loop at vertex {i}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if ((self.rows[i] >> j) & 1) != ((self.rows[j] >> i) & 1):
-                    raise ValueError(f"adjacency not symmetric at ({i},{j})")
+        a = _bit_matrix(self.rows, self.n)
+        if a.diagonal().any():
+            raise ValueError(f"loop at vertex {a.diagonal().argmax()}")
+        bad = a != a.T  # symmetric: its first marked row holds the first pair i < j
+        if bad.any():
+            i = bad.any(axis=1).argmax()
+            raise ValueError(f"adjacency not symmetric at ({i},{bad[i].argmax()})")
+
+    @classmethod
+    def _unchecked(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """Graph from rows that are symmetric, loop-free and in range by construction."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, rows=rows)
+        return g
 
     # -- basic queries -------------------------------------------------
 
@@ -73,43 +86,53 @@ class Graph:
     # -- derived graphs ------------------------------------------------
 
     def add_edge(self, i: int, j: int) -> "Graph":
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise ValueError(f"edge ({i}, {j}) has an endpoint outside 0..{self.n - 1}")
         if i == j:
             raise ValueError("cannot add a loop")
         rows = list(self.rows)
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-        return Graph(self.n, tuple(rows))
+        return Graph._unchecked(self.n, tuple(rows))
 
     def remove_edge(self, i: int, j: int) -> "Graph":
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise ValueError(f"edge ({i}, {j}) has an endpoint outside 0..{self.n - 1}")
         rows = list(self.rows)
         rows[i] &= ~(1 << j)
         rows[j] &= ~(1 << i)
-        return Graph(self.n, tuple(rows))
+        return Graph._unchecked(self.n, tuple(rows))
 
     def delete_vertex(self, v: int) -> "Graph":
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
         keep = [u for u in range(self.n) if u != v]
         return self.induced(keep)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         idx = {u: k for k, u in enumerate(vertices)}
+        if len(idx) != len(vertices) or (idx and not (0 <= min(idx) and max(idx) < self.n)):
+            raise ValueError(f"induced vertices must be distinct and lie in 0..{self.n - 1}")
         rows = [0] * len(vertices)
         for k, u in enumerate(vertices):
             r = self.rows[u]
             for w in bits(r):
                 if w in idx:
                     rows[k] |= 1 << idx[w]
-        return Graph(len(vertices), tuple(rows))
+        return Graph._unchecked(len(vertices), tuple(rows))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """New graph where old vertex v becomes perm[v]."""
         p = [int(t) for t in perm]
+        if sorted(p) != list(range(self.n)):
+            raise ValueError(f"relabel needs a permutation of range({self.n})")
         rows = [0] * self.n
         for v in range(self.n):
             nr = 0
             for w in bits(self.rows[v]):
                 nr |= 1 << p[w]
             rows[p[v]] = nr
-        return Graph(self.n, tuple(rows))
+        return Graph._unchecked(self.n, tuple(rows))
 
     # -- connectivity --------------------------------------------------
 
@@ -150,6 +173,13 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:
+    """Rows in 0..2^n - 1 as a len(rows) x n 0/1 uint8 matrix, via their bytes."""
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(b"".join([r.to_bytes(nbytes, "little") for r in rows]), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), nbytes), axis=1, count=n, bitorder="little")
+
+
 # ---------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------
@@ -158,12 +188,14 @@ def mask_of(vertices: Iterable[int]) -> int:
 def empty_graph(n: int) -> Graph:
     if n < 0:
         raise ValueError("order must be nonnegative")
-    return Graph(n, tuple([0] * n))
+    return Graph._unchecked(n, tuple([0] * n))
 
 
 def complete_graph(n: int) -> Graph:
+    if n < 0:
+        raise ValueError("order must be nonnegative")
     full = (1 << n) - 1
-    return Graph(n, tuple((full & ~(1 << i)) for i in range(n)))
+    return Graph._unchecked(n, tuple((full & ~(1 << i)) for i in range(n)))
 
 
 def path_graph(n: int) -> Graph:
@@ -188,12 +220,12 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"cannot add a loop at vertex {i}")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, tuple(rows))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     rows = list(g.rows) + [r << g.n for r in h.rows]
-    return Graph(g.n + h.n, tuple(rows))
+    return Graph._unchecked(g.n + h.n, tuple(rows))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -203,7 +235,7 @@ def join(g: Graph, h: Graph) -> Graph:
     hmask = ((1 << h.n) - 1) << g.n
     rows = [r | hmask for r in g.rows]
     rows += [(r << g.n) | gmask for r in h.rows]
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, tuple(rows))
 
 
 def make_multipartite(parts: Sequence[int]) -> Graph:
@@ -220,7 +252,7 @@ def make_multipartite(parts: Sequence[int]) -> Graph:
         block = ((1 << p) - 1) << start
         rows.extend([full & ~block] * p)
         start += p
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, tuple(rows))
 
 
 def turan_part_sizes(r: int, n: int) -> tuple[int, ...]:
@@ -303,7 +335,7 @@ def y_graph(r: int, n: int) -> Graph:
             rows[x] &= ~(1 << u)
     rows[w] &= ~(1 << v)
     rows[v] &= ~(1 << w)
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, tuple(rows))
 
 
 def u_graph(m: int) -> Graph:
@@ -368,16 +400,13 @@ class FamilySpec:
 # 6-bit groups, each stored as one printable byte value 63..126.
 
 
-def _encode_bits(bitlist: list[int]) -> str:
-    out = []
-    for i in range(0, len(bitlist), 6):
-        group = bitlist[i : i + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+# the six payload bits of every byte value, most significant first
+_G6_BITS = np.unpackbits((np.arange(256) - 63).astype(np.uint8)[:, None] << 2, axis=1, count=6)
+
+
+def _six_bit_chars(x: int, k: int) -> str:
+    """x as k printable 6-bit groups, most significant first."""
+    return "".join(chr(63 + ((x >> (6 * t)) & 63)) for t in reversed(range(k)))
 
 
 def graph6_encode(g: Graph) -> str:
@@ -385,17 +414,16 @@ def graph6_encode(g: Graph) -> str:
     if n <= 62:
         head = chr(n + 63)
     elif n <= 258047:
-        head = chr(126) + _encode_bits([(n >> (17 - i)) & 1 for i in range(18)])
+        head = chr(126) + _six_bit_chars(n, 3)
     elif n <= 68719476735:
-        head = chr(126) + chr(126) + _encode_bits([(n >> (35 - i)) & 1 for i in range(36)])
+        head = chr(126) + chr(126) + _six_bit_chars(n, 6)
     else:
         raise ValueError("graph too large for graph6")
-    bitlist = []
-    for j in range(1, n):
-        col = g.rows[j]
-        for i in range(j):
-            bitlist.append((col >> i) & 1)
-    return head + _encode_bits(bitlist)
+    # the column-major upper triangle is the row-major strict lower triangle
+    lower = _bit_matrix(g.rows, n)[np.tri(n, k=-1, dtype=bool)]
+    body = np.append(lower, np.zeros(-lower.size % 6, dtype=np.uint8)).reshape(-1, 6)
+    groups = body @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + np.uint8(63)
+    return head + groups.tobytes().decode()
 
 
 def graph6_decode(text: str) -> Graph:
@@ -404,54 +432,42 @@ def graph6_decode(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise Graph6ParseError("empty graph6 string", 0)
-    vals = []
-    for off, ch in enumerate(s):
-        code = ord(ch)
-        if code < 63 or code > 126:
-            raise Graph6ParseError(f"byte {code} outside graph6 range 63..126", off)
-        vals.append(code - 63)
-    pos = 0
-    if vals[0] == 63:  # chr(126): long-form length marker
-        if len(vals) >= 3 and vals[1] == 63:
-            if len(vals) < 8:
-                raise Graph6ParseError("truncated 36-bit length header", len(s))
-            n = 0
-            for v in vals[2:8]:
-                n = (n << 6) | v
-            pos = 8
-        else:
-            if len(vals) < 4:
-                raise Graph6ParseError("truncated 18-bit length header", len(s))
-            n = 0
-            for v in vals[1:4]:
-                n = (n << 6) | v
-            if n < 63:
-                raise Graph6ParseError(f"long-form header used for small order {n}", 0)
-            pos = 4
-    else:
-        n = vals[0]
-        pos = 1
+    # a non-ASCII character becomes "&#...;", whose "&" fails the range scan
+    raw = s.encode("ascii", "xmlcharrefreplace")
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    if codes.min() < 63 or codes.max() > 126:
+        off = int(np.argmax((codes < 63) | (codes > 126)))
+        raise Graph6ParseError(f"byte {ord(s[off])} outside graph6 range 63..126", off)
+    head = [c - 63 for c in raw[:8]]
+    if head[0] != 63:
+        n, pos = head[0], 1
+    elif len(head) >= 3 and head[1] == 63:  # chr(126) chr(126): 36-bit length
+        if len(head) < 8:
+            raise Graph6ParseError("truncated 36-bit length header", len(s))
+        n, pos = int("".join(f"{v:06b}" for v in head[2:8]), 2), 8
+    else:  # chr(126): 18-bit length
+        if len(head) < 4:
+            raise Graph6ParseError("truncated 18-bit length header", len(s))
+        n, pos = int("".join(f"{v:06b}" for v in head[1:4]), 2), 4
+        if n < 63:
+            raise Graph6ParseError(f"long-form header used for small order {n}", 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(vals) - pos != nbytes:
+    if len(codes) - pos != nbytes:
         raise Graph6ParseError(
-            f"expected {nbytes} edge bytes for order {n}, got {len(vals) - pos}", pos
+            f"expected {nbytes} edge bytes for order {n}, got {len(codes) - pos}", pos
         )
-    rows = [0] * n
-    bit_index = 0
-    i, j = 0, 1  # next upper-triangle slot, column-major
-    for byte_at, v in enumerate(vals[pos:]):
-        for t in range(5, -1, -1):
-            b = (v >> t) & 1
-            if bit_index >= nbits:
-                if b:
-                    raise Graph6ParseError("nonzero padding bits", pos + byte_at)
-            else:
-                if b:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                i += 1
-                if i == j:
-                    i, j = 0, j + 1
-            bit_index += 1
-    return Graph(n, tuple(rows))
+    # padding fills the low bits of the last byte
+    if nbytes and (raw[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
+        raise Graph6ParseError("nonzero padding bits", pos + nbytes - 1)
+    stream = _G6_BITS[codes[pos:]].reshape(-1)
+    # column j of the upper triangle is row j of the lower one; filling and packing
+    # row by row keep the large temporaries (freed ones stay resident) to a and a.T
+    a = np.zeros((n, n), dtype=np.uint8)
+    start = 0
+    for j in range(1, n):
+        a[j, :j] = stream[start : start + j]
+        start += j
+    a |= a.T
+    rows = (int.from_bytes(np.packbits(r, bitorder="little"), "little") for r in a)
+    return Graph._unchecked(n, tuple(rows))

@@ -14,7 +14,7 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
             if rng.random() < p:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, tuple(rows))
 
 
 def random_connected_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -27,7 +27,7 @@ def random_connected_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
         b = order[int(rng.integers(0, k))]
         rows[a] |= 1 << b
         rows[b] |= 1 << a
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, tuple(rows))
 
 
 def random_multipartite(n: int, r: int, p: float, rng: np.random.Generator) -> Graph:
@@ -42,4 +42,4 @@ def random_multipartite(n: int, r: int, p: float, rng: np.random.Generator) -> G
             if classes[i] != classes[j] and rng.random() < p:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, tuple(rows))

@@ -224,7 +224,7 @@ def _orderly_levels(n: int, keep: Optional[Callable[[Graph], bool]]) -> Iterator
     pays for the lex-min canonical form, once per class. ``keep`` must be
     closed under edge deletion; it prunes whole subtrees without losing any
     graph that satisfies it."""
-    start = Graph(n, tuple([0] * n))
+    start = Graph._unchecked(n, tuple([0] * n))
     if keep is not None and not keep(start):
         return
     yield start
@@ -242,15 +242,15 @@ def _orderly_levels(n: int, keep: Optional[Callable[[Graph], bool]]) -> Iterator
                 candidates.add(tuple(cand_rows))
         classes: dict[tuple[int, ...], tuple[int, ...]] = {}
         for cand_rows in candidates:
-            cand = Graph(n, cand_rows)
+            cand = Graph._unchecked(n, cand_rows)
             if keep is not None and not keep(cand):
                 continue
             cert = canonical_certificate(cand)
             if cert not in classes:
                 classes[cert] = canonical_form(cand).rows
         level = set(classes.values())
-        for rows in sorted(level, key=lambda rt: graph6_encode(Graph(n, rt))):
-            yield Graph(n, rows)
+        for rows in sorted(level, key=lambda rt: graph6_encode(Graph._unchecked(n, rt))):
+            yield Graph._unchecked(n, rows)
 
 
 @lru_cache(maxsize=64)
@@ -284,7 +284,7 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
             f"enumeration guard: n <= {ENUMERATION_HARD_GUARD}, got {n}"
         )
     if n == 0:
-        yield Graph(0, ())
+        yield Graph._unchecked(0, ())
         return
     yield from _census_cached(n, (None, None))
 
@@ -545,7 +545,7 @@ def _family_config_graph(sizes: tuple[int, ...], slot_v: int, slot_w: int, n: in
     rows[u] = umask
     for t in bits(umask):
         rows[t] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, tuple(rows))
 
 
 def lemma27_scan(

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _bit_matrix, mask_of
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
@@ -56,15 +56,13 @@ class SpectralResult:
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Float adjacency matrix of g.
 
-    Each bitset row is unpacked straight into the preallocated matrix, one row
+    The bitset rows are unpacked straight into the preallocated matrix, 64 rows
     at a time, so peak memory stays at the float matrix itself.
     """
     n = g.n
-    nbytes = (n + 7) // 8
     a = np.empty((n, n))
-    for i, r in enumerate(g.rows):
-        packed = np.frombuffer(r.to_bytes(nbytes, "little"), dtype=np.uint8)
-        a[i] = np.unpackbits(packed, count=n, bitorder="little")
+    for lo in range(0, n, 64):
+        a[lo : lo + 64] = _bit_matrix(g.rows[lo : lo + 64], n)
     return a
 
 
@@ -200,14 +198,20 @@ def rotate_edges(g: Graph, u: int, v: int, s: Sequence[int]) -> Graph:
     sset = set(s)
     if not sset:
         raise ValueError("S must be non-empty")
+    for x in (u, v):
+        if not 0 <= x < g.n:
+            raise ValueError(f"vertex {x} outside 0..{g.n - 1}")
     nv = g.rows[v]
     closed_u = g.rows[u] | (1 << u)
     for w in sset:
-        if not (nv >> w) & 1:
+        if w < 0 or not (nv >> w) & 1:
             raise ValueError(f"vertex {w} is not a neighbour of {v}")
         if (closed_u >> w) & 1:
             raise ValueError(f"vertex {w} lies in the closed neighbourhood of {u}")
-    out = g
-    for w in sorted(sset):
-        out = out.remove_edge(v, w).add_edge(u, w)
-    return out
+    rows = list(g.rows)
+    moved = mask_of(sset)
+    rows[v] &= ~moved
+    rows[u] |= moved
+    for w in sset:
+        rows[w] = (rows[w] & ~(1 << v)) | (1 << u)
+    return Graph._unchecked(g.n, tuple(rows))

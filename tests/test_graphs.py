@@ -1,7 +1,10 @@
 """Constructor contracts, structural invariants, and graph6 round trips."""
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spexlab.graphs import (
     FamilySpec,
@@ -258,3 +261,189 @@ def test_long_path_builds_directly():
     assert g.edge_count == 1999 and g.degree(0) == g.degree(1999) == 1
     assert g.rows[1000] == (1 << 999) | (1 << 1001)
     assert cycle_graph(2000).rows[0] == (1 << 1) | (1 << 1999)
+
+
+# ---------------------------------------------------------------------
+# validation at the public constructor
+# ---------------------------------------------------------------------
+
+
+def symmetric_rows(n: int, seed: int) -> list[int]:
+    """Rows of a seeded symmetric loop-free 0/1 matrix, built without spexlab."""
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.random((n, n)) < 0.3, 1)
+    a = a | a.T
+    return [sum(1 << int(j) for j in np.flatnonzero(a[i])) for i in range(n)]
+
+
+def test_public_constructor_accepts_symmetric_rows():
+    for n in (0, 1, 2, 7, 8, 9, 200):
+        rows = tuple(symmetric_rows(n, n))
+        assert Graph(n, rows).rows == rows
+
+
+def _loop(rows, n):
+    rows[n - 1] |= 1 << (n - 1)
+
+
+def _first_asymmetric_pair(rows, n):
+    # one-sided bits; in (i, j) order the first pair is (0, n-1), whose only
+    # bit sits in the later row
+    rows[n - 1] ^= 1 << 0
+    if n > 2:
+        rows[1] ^= 1 << (n - 1)
+        rows[2] ^= 1 << 1
+
+
+def _out_of_range(rows, n):
+    rows[1] |= 1 << n
+
+
+def _negative(rows, n):
+    rows[1] = -1
+
+
+def _not_int(rows, n):
+    rows[1] = 1.0
+
+
+@pytest.mark.parametrize("n", [2, 200])
+@pytest.mark.parametrize("corrupt, message", [
+    (_loop, "loop at vertex {last}"),
+    (_first_asymmetric_pair, r"adjacency not symmetric at \(0,{last}\)"),
+    (_out_of_range, "row 1 has bits outside 0..n-1"),
+    (_negative, "row 1 has bits outside 0..n-1"),
+    (_not_int, "row 1 is not an int"),
+], ids=["loop", "asymmetric", "out-of-range", "negative", "non-int"])
+def test_public_constructor_rejects(n, corrupt, message):
+    rows = symmetric_rows(n, 5)
+    corrupt(rows, n)
+    with pytest.raises(ValueError, match=message.format(last=n - 1)):
+        Graph(n, tuple(rows))
+
+
+def test_public_constructor_rejects_bad_shape():
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph(-1, ())
+    with pytest.raises(ValueError, match="exactly n rows"):
+        Graph(3, (0, 0))
+
+
+# ---------------------------------------------------------------------
+# argument checks of the derived-graph methods
+# ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("op, message", [
+    pytest.param(lambda g: g.add_edge(0, 5), r"edge \(0, 5\) has an endpoint outside 0..4", id="add_edge-high"),
+    pytest.param(lambda g: g.add_edge(-1, 2), "outside 0..4", id="add_edge-negative"),
+    pytest.param(lambda g: g.add_edge(2, 2), "loop", id="add_edge-loop"),
+    pytest.param(lambda g: g.remove_edge(4, 5), "outside 0..4", id="remove_edge-high"),
+    pytest.param(lambda g: g.remove_edge(-1, 3), "outside 0..4", id="remove_edge-negative"),
+    pytest.param(lambda g: g.delete_vertex(5), "vertex 5 outside 0..4", id="delete_vertex-high"),
+    pytest.param(lambda g: g.delete_vertex(-1), "vertex -1 outside 0..4", id="delete_vertex-negative"),
+    pytest.param(lambda g: g.induced([0, 2, 0]), "distinct", id="induced-repeated"),
+    pytest.param(lambda g: g.induced([0, 5]), "lie in 0..4", id="induced-high"),
+    pytest.param(lambda g: g.induced([-1, 0]), "lie in 0..4", id="induced-negative"),
+    pytest.param(lambda g: g.relabel([1, 0, 2, 3]), "permutation", id="relabel-short"),
+    pytest.param(lambda g: g.relabel([1, 0, 2, 3, 4, 5]), "permutation", id="relabel-long"),
+    pytest.param(lambda g: g.relabel([1, 1, 2, 3, 4]), "permutation", id="relabel-repeated"),
+    pytest.param(lambda g: g.relabel([1, 2, 3, 4, 5]), "permutation", id="relabel-out-of-range"),
+    pytest.param(lambda g: g.relabel([-1, 0, 1, 2, 3]), "permutation", id="relabel-negative"),
+])
+def test_derived_graph_argument_checks(op, message):
+    with pytest.raises(ValueError, match=message):
+        op(path_graph(5))
+
+
+def test_derived_graphs_stay_simple():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        g = random_graph(int(rng.integers(2, 12)), 0.4, rng)
+        i, j = (int(t) for t in rng.choice(g.n, 2, replace=False))
+        perm = [int(t) for t in rng.permutation(g.n)]
+        keep = sorted(int(t) for t in rng.choice(g.n, g.n // 2, replace=False))
+        for h in (g.add_edge(i, j), g.remove_edge(i, j), g.delete_vertex(i),
+                  g.induced(keep), g.relabel(perm), join(g, g), disjoint_union(g, g)):
+            assert Graph(h.n, h.rows) == h  # passes the public validation
+    for h in (y_graph(3, 11), y_graph(4, 13), turan(4, 13), generalized_book(3, 2),
+              u_graph(6), complete_graph(5), empty_graph(3), cycle_graph(6)):
+        assert Graph(h.n, h.rows) == h
+
+
+# ---------------------------------------------------------------------
+# graph6 codec against networkx, and its errors
+# ---------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 130), p=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_graph6_matches_networkx(n, p, seed):
+    rng = np.random.default_rng(seed)
+    g = random_graph(n, p, rng)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(g.edges())
+    expected = nx.to_graph6_bytes(h, header=False).decode().rstrip("\n")
+    s = graph6_encode(g)
+    assert s == expected
+    assert graph6_decode(s) == g
+
+
+def test_graph6_header_switch_at_63():
+    assert graph6_encode(empty_graph(62))[0] == chr(62 + 63)
+    assert graph6_encode(empty_graph(63))[:4] == "~??~"
+    for n in (62, 63):
+        assert graph6_decode(graph6_encode(complete_graph(n))) == complete_graph(n)
+
+
+def test_graph6_36_bit_header_round_trip():
+    # graph6 readers accept a 36-bit header for any order >= 63
+    body = graph6_encode(complete_graph(63))[4:]
+    assert graph6_decode("~~?????~" + body) == complete_graph(63)
+
+
+def test_graph6_large_round_trip():
+    g = y_graph(3, 3200)
+    s = graph6_encode(g)
+    assert s.startswith("~?q?")  # 3200 = 0 * 64^2 + 50 * 64 + 0
+    assert graph6_decode(s).rows == g.rows
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 11])
+@pytest.mark.parametrize("ch", ["\u00e9", "\u20ac", "\U0001f600"])
+def test_graph6_non_ascii_offset(k, ch):
+    s = graph6_encode(complete_graph(12))
+    bad = s[:k] + ch + s[k + 1:]
+    with pytest.raises(Graph6ParseError, match=f"byte {ord(ch)} outside") as ei:
+        graph6_decode(bad)
+    assert ei.value.offset == k
+
+
+def test_graph6_first_bad_byte_wins():
+    s = graph6_encode(complete_graph(7))
+    with pytest.raises(Graph6ParseError, match="byte 32 outside") as ei:
+        graph6_decode(s[:2] + " " + s[3:5] + "\u00e9" + s[6:])
+    assert ei.value.offset == 2
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    pytest.param("B" + chr(126), "nonzero padding bits", 1, id="padding"),
+    # K_63: 1953 bits in 326 bytes, the last one 111000; "@" sets a padding bit
+    pytest.param(graph6_encode(complete_graph(63))[:-1] + "@", "nonzero padding bits", 4 + 325,
+                 id="padding-long-form"),
+    pytest.param("~??", "truncated 18-bit length header", 3, id="truncated-18"),
+    pytest.param("~", "truncated 18-bit length header", 1, id="truncated-18-marker-only"),
+    pytest.param("~~?????", "truncated 36-bit length header", 7, id="truncated-36"),
+    pytest.param("~~~", "truncated 36-bit length header", 3, id="truncated-36-short"),
+    pytest.param("~???", "long-form header used for small order 0", 0, id="long-form-small"),
+    pytest.param("Bwww", "expected 1 edge bytes for order 3, got 3", 1, id="body-long"),
+    pytest.param("B", "expected 1 edge bytes for order 3, got 0", 1, id="body-missing"),
+    pytest.param("~??~" + "?" * 10, "expected 326 edge bytes for order 63, got 10", 4,
+                 id="body-short-long-form"),
+    pytest.param(">>graph6<<", "empty graph6 string", 0, id="empty"),
+])
+def test_graph6_error_messages_and_offsets(text, message, offset):
+    with pytest.raises(Graph6ParseError, match=message) as ei:
+        graph6_decode(text)
+    assert ei.value.offset == offset

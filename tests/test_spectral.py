@@ -179,6 +179,33 @@ def test_rotation_validation():
         rotate_edges(g, 1, 2, [0])  # 0 not a neighbour of 2
     with pytest.raises(ValueError):
         rotate_edges(g, 1, 2, [1])  # inside N[u]
+    with pytest.raises(ValueError, match="not a neighbour of 2"):
+        rotate_edges(g, 1, 2, [-1])
+    with pytest.raises(ValueError, match="vertex 4 outside"):
+        rotate_edges(g, 4, 2, [3])
+    with pytest.raises(ValueError, match="vertex -1 outside"):
+        rotate_edges(g, 1, -1, [3])
+
+
+def test_rotation_matches_edge_by_edge_moves():
+    # rotate_edges builds the result from one row list; it must agree with
+    # moving the edges one at a time through remove_edge/add_edge
+    rng = np.random.default_rng(31)
+    done = 0
+    while done < 200:
+        n = int(rng.integers(3, 40))
+        g = random_connected_graph(n, float(rng.uniform(0.05, 0.7)), rng)
+        u, v = (int(t) for t in rng.choice(n, 2, replace=False))
+        s_mask = g.rows[v] & ~(g.rows[u] | (1 << u))
+        if not s_mask:
+            continue
+        s = [w for w in range(n) if (s_mask >> w) & 1 and rng.random() < 0.6] or [
+            (s_mask & -s_mask).bit_length() - 1]
+        chained = g
+        for w in sorted(s):
+            chained = chained.remove_edge(v, w).add_edge(u, w)
+        assert rotate_edges(g, u, v, s).rows == chained.rows
+        done += 1
 
 
 def test_rotation_strictly_increases_rho():
