@@ -37,7 +37,7 @@ from .graphs import (
 from .quotient import verify_lemma32
 from .random_graphs import random_connected_graph, random_multipartite
 from .search import PredicateSpec, conjecture_scan, ex_search, lemma27_scan, spex_search
-from .spectral import rotate_edges, spectral_radius
+from .spectral import check_wilf, rotate_edges, spectral_radius
 from .structure import chromatic_number, contains_generalized_book, is_color_critical, is_r_colorable
 
 
@@ -288,11 +288,10 @@ def _verify_wilf(r: int, n_max: int, trials: int, seed: int) -> int:
             g = turan(r, n)  # tight member of the family
         else:
             g = random_multipartite(n, r, float(rng.uniform(0.2, 1.0)), rng)
-        rho = spectral_radius(g).rho
-        bound = (1.0 - 1.0 / r) * n
-        worst = max(worst, rho - bound)
-        if rho > bound + 1e-9:
-            failures.append({"n": n, "rho": rho, "bound": bound})
+        rep = check_wilf(g, r)
+        worst = max(worst, rep.rho - rep.bound)
+        if not rep.holds:
+            failures.append({"n": n, "rho": rep.rho, "bound": rep.bound})
     ok = not failures
     _emit({"pipeline": "wilf", "r": r, "n_max": n_max, "trials": trials,
            "seed": seed, "worst_margin": worst, "failures": failures,

@@ -22,8 +22,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
-from .graphs import Graph, bits, graph6_encode, u_graph, y_graph
-from .spectral import TIE_TOL, spectral_radius
+from .graphs import Graph, bits, graph6_encode, make_multipartite, u_graph, y_graph
+from .spectral import TIE_TOL, rotate_edges, spectral_radius
 from .structure import (
     FeasibilityError,
     color_refine,
@@ -35,6 +35,7 @@ from .structure import (
 )
 
 ENUMERATION_HARD_GUARD = 10
+FAMILY_CONFIG_GUARD = 20_000
 
 
 # ---------------------------------------------------------------------
@@ -255,8 +256,15 @@ def _orderly_levels(n: int, keep: Optional[Callable[[Graph], bool]]) -> Iterator
 
 @lru_cache(maxsize=64)
 def _census_cached(n: int, prune_key) -> tuple[Graph, ...]:
-    keep = _prune_fn(prune_key)
-    return tuple(_orderly_levels(n, keep))
+    """The order-n census pruned by ``prune_key``; the one guarded entry to
+    the enumeration (0 <= n <= ENUMERATION_HARD_GUARD)."""
+    if n < 0:
+        raise ValueError("order must be nonnegative")
+    if n > ENUMERATION_HARD_GUARD:
+        raise FeasibilityError(
+            f"enumeration guard: n <= {ENUMERATION_HARD_GUARD}, got {n}"
+        )
+    return tuple(_orderly_levels(n, _prune_fn(prune_key)))
 
 
 def _prune_fn(prune_key) -> Optional[Callable[[Graph], bool]]:
@@ -277,15 +285,6 @@ def _prune_fn(prune_key) -> Optional[Callable[[Graph], bool]]:
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """One canonical representative per isomorphism class of order n,
     ascending by edge count then by canonical string. Guarded at n <= 10."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if n > ENUMERATION_HARD_GUARD:
-        raise FeasibilityError(
-            f"enumeration guard: n <= {ENUMERATION_HARD_GUARD}, got {n}"
-        )
-    if n == 0:
-        yield Graph._unchecked(0, ())
-        return
     yield from _census_cached(n, (None, None))
 
 
@@ -391,91 +390,51 @@ class SearchReport:
         ]
 
 
-def _feasible_graphs(n: int, pred: PredicateSpec) -> tuple[list[Graph], int]:
-    if n > ENUMERATION_HARD_GUARD:
-        raise FeasibilityError(
-            f"enumeration guard: n <= {ENUMERATION_HARD_GUARD}, got {n}"
-        )
+def _extremal_search(
+    n: int,
+    pred: PredicateSpec,
+    objective: str,
+    value: Callable[[Graph], float],
+    tie_tol: float,
+) -> SearchReport:
+    """Maximise ``value`` over the feasible classes of order n. Every class
+    within ``tie_tol`` of the maximum is a champion, listed by its canonical
+    graph6 string (census members are already canonical); the gap is measured
+    to the best remaining class."""
     census = _census_cached(n, pred.prune_key())
     feasible = [g for g in census if pred.satisfies(g)]
-    return feasible, len(census)
-
-
-def spex_search(n: int, pred: PredicateSpec) -> SearchReport:
-    """Exhaustive spectral-radius maximisation over the feasible classes.
-
-    Every class within ``TIE_TOL`` of the maximum radius is a champion, so
-    ties are all reported rather than forced unique; the gap is measured to
-    the best remaining class.
-    """
-    feasible, scanned = _feasible_graphs(n, pred)
-    if not feasible:
-        return SearchReport(
-            n=n,
-            predicate=pred,
-            objective="rho",
-            champions=(),
-            gap_to_runner_up=None,
-            exhaustive=True,
-            graphs_scanned=scanned,
-            feasible_count=0,
-            ties_within_tol=(),
-        )
-    rhos = [spectral_radius(g).rho for g in feasible]
-    best = max(rhos)
-    champions = tuple(sorted(
-        (canonical_graph6(g), rho) for g, rho in zip(feasible, rhos) if rho >= best - TIE_TOL
-    ))
-    runner = max((rho for rho in rhos if rho < best - TIE_TOL), default=None)
-    ties = tuple(g6 for g6, _ in champions) if len(champions) > 1 else ()
+    values = [value(g) for g in feasible]
+    champions: tuple[tuple[str, float], ...] = ()
+    gap = None
+    if feasible:
+        best = max(values)
+        champions = tuple(sorted(
+            (graph6_encode(g), v) for g, v in zip(feasible, values) if v >= best - tie_tol
+        ))
+        runner = max((v for v in values if v < best - tie_tol), default=None)
+        gap = None if runner is None else best - runner
     return SearchReport(
         n=n,
         predicate=pred,
-        objective="rho",
+        objective=objective,
         champions=champions,
-        gap_to_runner_up=None if runner is None else best - runner,
+        gap_to_runner_up=gap,
         exhaustive=True,
-        graphs_scanned=scanned,
+        graphs_scanned=len(census),
         feasible_count=len(feasible),
-        ties_within_tol=ties,
+        ties_within_tol=tuple(g6 for g6, _ in champions) if len(champions) > 1 else (),
     )
+
+
+def spex_search(n: int, pred: PredicateSpec) -> SearchReport:
+    """Exhaustive spectral-radius maximisation over the feasible classes; ties
+    within ``TIE_TOL`` are all reported rather than forced unique."""
+    return _extremal_search(n, pred, "rho", lambda g: spectral_radius(g).rho, TIE_TOL)
 
 
 def ex_search(n: int, pred: PredicateSpec) -> SearchReport:
     """Exhaustive edge-count maximisation; ties are exact."""
-    feasible, scanned = _feasible_graphs(n, pred)
-    if not feasible:
-        return SearchReport(
-            n=n,
-            predicate=pred,
-            objective="edges",
-            champions=(),
-            gap_to_runner_up=None,
-            exhaustive=True,
-            graphs_scanned=scanned,
-            feasible_count=0,
-            ties_within_tol=(),
-        )
-    counts = [g.edge_count for g in feasible]
-    best = max(counts)
-    champ_idx = sorted(
-        (i for i, c in enumerate(counts) if c == best),
-        key=lambda i: canonical_graph6(feasible[i]),
-    )
-    runner = max((c for c in counts if c < best), default=None)
-    champions = tuple((canonical_graph6(feasible[i]), best) for i in champ_idx)
-    ties = tuple(g6 for g6, _ in champions) if len(champions) > 1 else ()
-    return SearchReport(
-        n=n,
-        predicate=pred,
-        objective="edges",
-        champions=champions,
-        gap_to_runner_up=None if runner is None else best - runner,
-        exhaustive=True,
-        graphs_scanned=scanned,
-        feasible_count=len(feasible),
-        ties_within_tol=ties,
-    )
+    return _extremal_search(n, pred, "edges", lambda g: g.edge_count, 0)
 
 
 # ---------------------------------------------------------------------
@@ -518,40 +477,25 @@ def _partitions_into(total: int, parts: int, max_part: Optional[int] = None):
             yield (first,) + rest
 
 
-def _family_config_graph(sizes: tuple[int, ...], slot_v: int, slot_w: int, n: int) -> Graph:
-    """Complete multipartite on n-1 vertices, a removed cross edge vw, and a
-    new vertex adjacent to v, w, and every part not hosting v or w."""
-    starts = []
-    acc = 0
-    for s in sizes:
-        starts.append(acc)
-        acc += s
-    rows = [0] * n
-    for bi, s in enumerate(sizes):
-        for v in range(starts[bi], starts[bi] + s):
-            for bj, s2 in enumerate(sizes):
-                if bi != bj:
-                    block = ((1 << s2) - 1) << starts[bj]
-                    rows[v] |= block
-    v = starts[slot_v]
-    w = starts[slot_w]
+def _family_config_graph(sizes: tuple[int, ...], slot_v: int, slot_w: int) -> Graph:
+    """Complete multipartite on sizes, a removed cross edge vw, and a new
+    vertex adjacent to v, w, and every part not hosting v or w."""
+    base = make_multipartite(sizes)
+    rows = list(base.rows)
+    v = sum(sizes[:slot_v])
+    w = sum(sizes[:slot_w])
+    # v and w share exactly the parts hosting neither of them
+    umask = (rows[v] & rows[w]) | (1 << v) | (1 << w)
     rows[v] &= ~(1 << w)
     rows[w] &= ~(1 << v)
-    u = n - 1
-    umask = (1 << v) | (1 << w)
-    for bj, s2 in enumerate(sizes):
-        if bj not in (slot_v, slot_w):
-            umask |= ((1 << s2) - 1) << starts[bj]
-    rows[u] = umask
+    u = base.n
     for t in bits(umask):
         rows[t] |= 1 << u
-    return Graph._unchecked(n, tuple(rows))
+    rows.append(umask)
+    return Graph._unchecked(u + 1, tuple(rows))
 
 
-def lemma27_scan(
-    r: int, n: int, tol: float = 1e-10, unique_margin: float = 1e-9,
-    config_guard: int = 20_000,
-) -> FamilyScanReport:
+def lemma27_scan(r: int, n: int, unique_margin: float = 1e-9) -> FamilyScanReport:
     """Scan every construction-family configuration (positive part sizes of
     n-1, one vertex in each of two chosen parts losing their shared edge, a
     new vertex joined to both and to all the other parts) and check that the
@@ -570,18 +514,18 @@ def lemma27_scan(
                 continue
             seen.add(key)
             configs.append((sizes, ia, ib))
-    if len(configs) > config_guard:
+    if len(configs) > FAMILY_CONFIG_GUARD:
         raise FeasibilityError(
-            f"family scan guard: {len(configs)} configurations exceed {config_guard}"
+            f"family scan guard: {len(configs)} configurations exceed {FAMILY_CONFIG_GUARD}"
         )
-    y_key = canonical_certificate(y_graph(r, n))
+    y = y_graph(r, n)
     best_rho = -math.inf
     best_is_y = False
     best_other = -math.inf
     for sizes, ia, ib in configs:
-        g = _family_config_graph(sizes, ia, ib, n)
-        rho = spectral_radius(g, tol=tol).rho
-        is_y = canonical_certificate(g) == y_key
+        g = _family_config_graph(sizes, ia, ib)
+        rho = spectral_radius(g).rho
+        is_y = are_isomorphic(g, y)
         if rho > best_rho:
             best_rho = rho
             best_is_y = is_y
@@ -615,7 +559,6 @@ def hill_climb(
     pred: PredicateSpec,
     budget: int = 100,
     accept_tol: float = 1e-9,
-    tol: float = 1e-10,
 ) -> tuple[Graph, list[ClimbStep]]:
     """Steepest-ascent local search over predicate-preserving single moves.
 
@@ -630,7 +573,7 @@ def hill_climb(
     g = g0
     trace: list[ClimbStep] = []
     for _ in range(budget):
-        base = spectral_radius(g, tol=tol)
+        base = spectral_radius(g)
         best_rho = base.rho + accept_tol
         best_move: Optional[tuple[str, Graph]] = None
         for i, j in combinations(range(g.n), 2):
@@ -642,7 +585,7 @@ def hill_climb(
                 label = f"add {i}-{j}"
             if not pred.satisfies(cand):
                 continue
-            rho = spectral_radius(cand, tol=tol).rho
+            rho = spectral_radius(cand).rho
             if rho > best_rho:
                 best_rho = rho
                 best_move = (label, cand)
@@ -655,12 +598,10 @@ def hill_climb(
                 if not s_mask:
                     continue
                 s = list(bits(s_mask))
-                cand = g
-                for w in s:
-                    cand = cand.remove_edge(v, w).add_edge(u, w)
+                cand = rotate_edges(g, u, v, s)
                 if not pred.satisfies(cand):
                     continue
-                rho = spectral_radius(cand, tol=tol).rho
+                rho = spectral_radius(cand).rho
                 if rho > best_rho:
                     best_rho = rho
                     best_move = (f"rotate {v}->{u} ({len(s)} edges)", cand)
@@ -817,7 +758,7 @@ def _scan_liu_miao(max_n: int, tol: float) -> ConjectureScanReport:
         is_u = are_isomorphic(strip_isolated(g), u)
         entry = {
             "m": m,
-            "champion_graph6": canonical_graph6(g),
+            "champion_graph6": graph6_encode(g),
             "champion_rho": rho,
             "u_rho": rho_u,
             "champion_is_u": is_u,

@@ -225,7 +225,7 @@ def is_r_colorable(g: Graph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
         raise ValueError("need r >= 1")
     if g.n == 0:
         return True, ()
-    h, members = _contract_twins(g)
+    h, members = g, [[v] for v in range(g.n)]
     while True:
         h2, members2 = _contract_twins(h)
         if h2.n == h.n:

@@ -196,6 +196,22 @@ def test_usage_errors(capsys):
     assert run(capsys, "nosuch")[0] == 2
     assert run(capsys, "construct", "--family", "turan", "--bogus-flag", "1")[0] == 2
     assert run(capsys, "search", "spex", "--n", "12", "--forbid-clique", "3")[0] == 2
+    for mode in ("spex", "ex"):
+        code, out, err = run(capsys, "search", mode, "--n", "-1", "--forbid-clique", "3")
+        assert code == 2 and out == ""
+        assert "order must be nonnegative" in err
+
+
+def test_search_ex_csv_bytes(capsys):
+    # two non-bipartite triangle-free graphs of order 8 tie at 13 edges
+    code, out, _ = run(capsys, "search", "ex", "--n", "8", "--forbid-book", "2,1",
+                       "--non-r-partite", "2", "--format", "csv")
+    assert code == 0
+    assert out == (
+        "n,objective,graph6,value,gap_to_runner_up,exhaustive\r\n"
+        "8,edges,G?FnV_,13,1,True\r\n"
+        "8,edges,G?NNf_,13,1,True\r\n"
+    )
 
 
 def test_verify_failure_exit_code_and_json(capsys, monkeypatch):

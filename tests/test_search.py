@@ -158,6 +158,14 @@ def test_census_dump(tmp_path):
 def test_enumeration_guard():
     with pytest.raises(FeasibilityError):
         list(enumerate_graphs(11))
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(enumerate_graphs(-1))
+    pred = PredicateSpec(forbid_clique=3)
+    for search in (spex_search, ex_search):
+        with pytest.raises(FeasibilityError):
+            search(11, pred)
+        with pytest.raises(ValueError, match="nonnegative"):
+            search(-1, pred)
 
 
 def test_predicate_spec_validation():
@@ -200,9 +208,35 @@ def test_spex_champions_satisfy_predicate():
 
 def test_spex_empty_feasible_set():
     # no triangle-free non-2-partite graph below five vertices
-    rep = spex_search(4, PredicateSpec(forbid_clique=3, require_non_r_partite=2))
-    assert rep.champions == ()
-    assert rep.feasible_count == 0
+    for search in (spex_search, ex_search):
+        rep = search(4, PredicateSpec(forbid_clique=3, require_non_r_partite=2))
+        assert rep.champions == ()
+        assert rep.feasible_count == 0
+        assert rep.gap_to_runner_up is None and rep.ties_within_tol == ()
+        assert rep.graphs_scanned == 7  # the triangle-free classes of order 4
+
+
+def test_spex_ties_reported_in_graph6_order():
+    # two B_{2,2}-free graphs of order 6 share rho = 3 (K_{3,3} and the
+    # triangular prism, both 3-regular)
+    rep = spex_search(6, PredicateSpec(forbid_book=(2, 2)))
+    assert [g6 for g6, _ in rep.champions] == ["EFz_", "ELv_"]
+    assert all(abs(rho - 3.0) <= 1e-9 for _, rho in rep.champions)
+    assert rep.ties_within_tol == ("EFz_", "ELv_")
+    assert rep.gap_to_runner_up > 1e-6
+
+
+@pytest.mark.parametrize("search", [spex_search, ex_search])
+@pytest.mark.parametrize("n, pred", [
+    (6, PredicateSpec(forbid_book=(2, 2))),
+    (7, PredicateSpec(forbid_clique=4)),
+    (8, PredicateSpec(forbid_book=(2, 1), require_non_r_partite=2)),
+])
+def test_champion_strings_are_canonical(search, n, pred):
+    rep = search(n, pred)
+    assert rep.champions
+    for g6, _ in rep.champions:
+        assert canonical_graph6(graph6_decode(g6)) == g6
 
 
 def test_spex_edgeless_feasible_set():
