@@ -5,20 +5,20 @@ construction-family scan, hill climbing, and the conjecture sweeps.
 Two labellings serve different purposes. The canonical certificate decides
 isomorphism: colour refinement plus individualisation (McKay & Piperno,
 "Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014), keeping the
-smallest relabelled row tuple over the leaves of the search tree. The
+smallest relabelled row tuple over the leaves of the search tree; those rows
+are a graph of the class and represent it inside the enumeration. The
 canonical form is the published representative: the lexicographically minimal
 upper-triangle bit string over all vertex orderings (read column by column, so
 each new vertex appends its adjacency to the previous ones), found by a
 branch-and-bound that prunes by prefix dominance against the best string found
-and by twin-class symmetry. The enumeration dedupes candidates by certificate
-and computes the lex-min form once per new class.
+and by twin-class symmetry. It is computed only where a graph is printed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
@@ -218,15 +218,15 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # ---------------------------------------------------------------------
 
 
-def _orderly_levels(n: int, keep: Optional[Callable[[Graph], bool]]) -> Iterator[Graph]:
-    """Orderly generation by edge augmentation: every canonical graph with m
-    edges arises from a canonical graph with m-1 edges plus one edge. The
-    children are deduped by canonical certificate, and only a new certificate
-    pays for the lex-min canonical form, once per class. ``keep`` must be
-    closed under edge deletion; it prunes whole subtrees without losing any
-    graph that satisfies it."""
+def _orderly_levels(n: int, keep: Callable[[Graph], bool]) -> Iterator[Graph]:
+    """Orderly generation by edge augmentation: every class with m edges
+    arises from a class with m-1 edges plus one edge. Children are deduped by
+    canonical certificate, whose rows then represent the class and parent the
+    next level; levels come in ascending edge count. ``keep`` must be closed
+    under edge deletion; it prunes whole subtrees without losing any graph
+    that satisfies it."""
     start = Graph._unchecked(n, tuple([0] * n))
-    if keep is not None and not keep(start):
+    if not keep(start):
         return
     yield start
     level = {start.rows}
@@ -241,51 +241,46 @@ def _orderly_levels(n: int, keep: Optional[Callable[[Graph], bool]]) -> Iterator
                 cand_rows[i] |= 1 << j
                 cand_rows[j] |= 1 << i
                 candidates.add(tuple(cand_rows))
-        classes: dict[tuple[int, ...], tuple[int, ...]] = {}
+        level = set()
         for cand_rows in candidates:
             cand = Graph._unchecked(n, cand_rows)
-            if keep is not None and not keep(cand):
-                continue
-            cert = canonical_certificate(cand)
-            if cert not in classes:
-                classes[cert] = canonical_form(cand).rows
-        level = set(classes.values())
-        for rows in sorted(level, key=lambda rt: graph6_encode(Graph._unchecked(n, rt))):
+            if keep(cand):
+                level.add(canonical_certificate(cand))
+        for rows in level:
             yield Graph._unchecked(n, rows)
+
+
+def _free_of(prune_key, g: Graph) -> bool:
+    """g has no K_q and no B(r,k), for prune_key (q, (r, k)); either may be None."""
+    clique, book = prune_key
+    if clique is not None and contains_clique(g, clique):
+        return False
+    return book is None or not contains_generalized_book(g, book[0], book[1])[0]
 
 
 @lru_cache(maxsize=64)
 def _census_cached(n: int, prune_key) -> tuple[Graph, ...]:
-    """The order-n census pruned by ``prune_key``; the one guarded entry to
-    the enumeration (0 <= n <= ENUMERATION_HARD_GUARD)."""
+    """The order-n census pruned by ``prune_key``, certificate-labelled; the one
+    guarded entry to the enumeration (0 <= n <= ENUMERATION_HARD_GUARD)."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n > ENUMERATION_HARD_GUARD:
         raise FeasibilityError(
             f"enumeration guard: n <= {ENUMERATION_HARD_GUARD}, got {n}"
         )
-    return tuple(_orderly_levels(n, _prune_fn(prune_key)))
+    return tuple(_orderly_levels(n, partial(_free_of, prune_key)))
 
 
-def _prune_fn(prune_key) -> Optional[Callable[[Graph], bool]]:
-    clique_bound, book = prune_key
-    if clique_bound is None and book is None:
-        return None
-
-    def keep(g: Graph) -> bool:
-        if clique_bound is not None and contains_clique(g, clique_bound):
-            return False
-        if book is not None and contains_generalized_book(g, book[0], book[1])[0]:
-            return False
-        return True
-
-    return keep
+def _published_census(n: int, prune_key) -> list[Graph]:
+    """The census as published: lex-min representatives ordered by (edges, graph6)."""
+    forms = [canonical_form(g) for g in _census_cached(n, prune_key)]
+    return sorted(forms, key=lambda g: (g.edge_count, graph6_encode(g)))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
-    """One canonical representative per isomorphism class of order n,
-    ascending by edge count then by canonical string. Guarded at n <= 10."""
-    yield from _census_cached(n, (None, None))
+    """One canonical (lex-min) representative per isomorphism class of order
+    n, ascending by edge count then by canonical string. Guarded at n <= 10."""
+    yield from _published_census(n, (None, None))
 
 
 # ---------------------------------------------------------------------
@@ -333,19 +328,15 @@ class PredicateSpec:
         return (clique, book)
 
     def satisfies(self, g: Graph) -> bool:
-        if self.forbid_clique is not None and contains_clique(g, self.forbid_clique):
-            return False
-        if self.forbid_book is not None and contains_generalized_book(
-            g, self.forbid_book[0], self.forbid_book[1]
-        )[0]:
-            return False
+        return _free_of(self.prune_key(), g) and self._beyond_census(g)
+
+    def _beyond_census(self, g: Graph) -> bool:
+        """The non-hereditary constraints, which the pruned census does not enforce."""
         if self.require_non_r_partite is not None and is_r_colorable(
             g, self.require_non_r_partite
         )[0]:
             return False
-        if self.require_connected and not g.is_connected():
-            return False
-        return True
+        return not self.require_connected or g.is_connected()
 
     def to_json_dict(self) -> dict:
         return {
@@ -358,7 +349,8 @@ class PredicateSpec:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Champions of one exhaustive search, with tie diagnostics."""
+    """Champions of one exhaustive search, with tie diagnostics; champions are
+    named by their canonical (lex-min) graph6 string, in string order."""
 
     n: int
     predicate: PredicateSpec
@@ -397,19 +389,19 @@ def _extremal_search(
     value: Callable[[Graph], float],
     tie_tol: float,
 ) -> SearchReport:
-    """Maximise ``value`` over the feasible classes of order n. Every class
-    within ``tie_tol`` of the maximum is a champion, listed by its canonical
-    graph6 string (census members are already canonical); the gap is measured
-    to the best remaining class."""
+    """Maximise ``value`` over the feasible classes of order n. The census
+    members carry certificate labellings; only the champions (every class
+    within ``tie_tol`` of the maximum) are named, by their canonical graph6
+    string. The gap is measured to the best remaining class."""
     census = _census_cached(n, pred.prune_key())
-    feasible = [g for g in census if pred.satisfies(g)]
+    feasible = [g for g in census if pred._beyond_census(g)]
     values = [value(g) for g in feasible]
     champions: tuple[tuple[str, float], ...] = ()
     gap = None
     if feasible:
         best = max(values)
         champions = tuple(sorted(
-            (graph6_encode(g), v) for g, v in zip(feasible, values) if v >= best - tie_tol
+            (canonical_graph6(g), v) for g, v in zip(feasible, values) if v >= best - tie_tol
         ))
         runner = max((v for v in values if v < best - tie_tol), default=None)
         gap = None if runner is None else best - runner
@@ -426,10 +418,15 @@ def _extremal_search(
     )
 
 
+def _rho(g: Graph) -> float:
+    """Spectral radius; 0.0 for the order-0 graph, which spectral_radius rejects."""
+    return spectral_radius(g).rho if g.n else 0.0
+
+
 def spex_search(n: int, pred: PredicateSpec) -> SearchReport:
     """Exhaustive spectral-radius maximisation over the feasible classes; ties
     within ``TIE_TOL`` are all reported rather than forced unique."""
-    return _extremal_search(n, pred, "rho", lambda g: spectral_radius(g).rho, TIE_TOL)
+    return _extremal_search(n, pred, "rho", _rho, TIE_TOL)
 
 
 def ex_search(n: int, pred: PredicateSpec) -> SearchReport:
@@ -680,7 +677,7 @@ def census_rows(n: int) -> Iterator[dict]:
             "graph6": graph6_encode(g),
             "n": g.n,
             "m": g.edge_count,
-            "rho": spectral_radius(g).rho if g.n else 0.0,
+            "rho": _rho(g),
             "chi": chi,
             "connected": g.is_connected(),
             "bipartite": chi <= 2,
@@ -712,7 +709,7 @@ def _scan_nosal(max_n: int, k: int, tol: float) -> ConjectureScanReport:
     scanned = 0
     prune = PredicateSpec(forbid_book=(2, k)).prune_key()
     for n in range(1, max_n + 1):
-        for g in _census_cached(n, prune):
+        for g in _published_census(n, prune):
             scanned += 1
             m = g.edge_count
             rho = spectral_radius(g).rho
@@ -740,7 +737,7 @@ def _scan_liu_miao(max_n: int, tol: float) -> ConjectureScanReport:
     scanned = 0
     prune = PredicateSpec(forbid_book=(2, 2)).prune_key()
     for n in range(3, max_n + 1):
-        for g in _census_cached(n, prune):
+        for g in _published_census(n, prune):
             if is_r_colorable(g, 2)[0]:
                 continue
             scanned += 1
@@ -780,7 +777,7 @@ def _scan_sqrt_2m(max_n: int, r: int, k: int, tol: float) -> ConjectureScanRepor
     scanned = 0
     prune = PredicateSpec(forbid_book=(r, k)).prune_key()
     for n in range(1, max_n + 1):
-        for g in _census_cached(n, prune):
+        for g in _published_census(n, prune):
             scanned += 1
             m = g.edge_count
             rho = spectral_radius(g).rho

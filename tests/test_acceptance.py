@@ -275,15 +275,17 @@ def test_criterion_9f_hill_climb_local_max(capfd):
 
 def test_criterion_10_probe_order8(capfd):
     rep = spex_search(8, PredicateSpec(forbid_book=(3, 1), require_non_r_partite=3))
-    assert rep.exhaustive and rep.champions
+    assert rep.exhaustive and len(rep.champions) == 1
     champ_g6, champ_rho = rep.champions[0]
-    matches_y = champ_g6 == canonical_graph6(y_graph(3, 8))
+    assert champ_g6 == canonical_graph6(y_graph(3, 8))
+    assert abs(champ_rho - 5.0) <= 1e-9
+    assert rep.gap_to_runner_up > 0.15
     payload = {
         "n": 8,
         "champion_graph6": champ_g6,
         "champion_rho": champ_rho,
         "gap_to_runner_up": rep.gap_to_runner_up,
-        "champion_is_y_graph": matches_y,
+        "champion_is_y_graph": True,
         "feasible_count": rep.feasible_count,
     }
     announce(capfd, 10, True, "probe report " + json.dumps(payload))

@@ -214,6 +214,60 @@ def test_search_ex_csv_bytes(capsys):
     )
 
 
+def test_search_spex_bytes(capsys):
+    # a search names its champions with the lex-min string; the census itself
+    # is labelled by certificate
+    code, out, _ = run(capsys, "search", "spex", "--n", "7", "--forbid-clique", "4")
+    assert code == 0
+    assert out == (
+        '{"n": 7, "predicate": {"forbid_book": null, "require_non_r_partite": null'
+        ', "require_connected": false, "forbid_clique": 4}, "objective": "rho"'
+        ', "champions": [["FFz~o", 4.60555127546399]]'
+        ', "gap_to_runner_up": 0.23326995219497348, "exhaustive": true'
+        ', "graphs_scanned": 685, "feasible_count": 685, "ties_within_tol": []}\n'
+    )
+
+
+def test_scan_bytes(capsys):
+    # the scans walk the published census: lex-min strings in (edges, graph6)
+    # order
+    code, out, _ = run(capsys, "scan", "--kind", "nosal_book", "--max-n", "6", "--k", "2")
+    assert code == 0
+    assert out == (
+        '{"kind": "nosal_book", "params": {"max_n": 6, "k": 2}, "scanned": 107'
+        ', "violations": [{"graph6": "Bw", "rho": 2.0, "bound": 1.7320508075688772}'
+        ', {"graph6": "CJ", "rho": 2.0, "bound": 1.7320508075688772}, {"graph6": "CN"'
+        ', "rho": 2.170086486626033, "bound": 2.0}, {"graph6": "D@K", "rho": 2.0'
+        ', "bound": 1.7320508075688772}, {"graph6": "D@[", "rho": 2.170086486626033'
+        ', "bound": 2.0}, {"graph6": "D@{", "rho": 2.3429230827771708'
+        ', "bound": 2.23606797749979}, {"graph6": "DBk", "rho": 2.302775637731995'
+        ', "bound": 2.23606797749979}, {"graph6": "DK{", "rho": 2.56155281280883'
+        ', "bound": 2.449489742783178}, {"graph6": "DLs", "rho": 2.481194304092015'
+        ', "bound": 2.449489742783178}, {"graph6": "E?CW", "rho": 2.0'
+        ', "bound": 1.7320508075688772}, {"graph6": "E?Cw", "rho": 2.170086486626033'
+        ', "bound": 2.0}, {"graph6": "E?Dw", "rho": 2.3429230827771708'
+        ', "bound": 2.23606797749979}, {"graph6": "E?LW", "rho": 2.302775637731995'
+        ', "bound": 2.23606797749979}, {"graph6": "E?Fw", "rho": 2.5141369293352906'
+        ', "bound": 2.449489742783178}, {"graph6": "E@Pw", "rho": 2.56155281280883'
+        ', "bound": 2.449489742783178}, {"graph6": "E@Tg", "rho": 2.481194304092015'
+        ', "bound": 2.449489742783178}, {"graph6": "E@Rw", "rho": 2.7092753594369223'
+        ', "bound": 2.6457513110645907}], "equality_witnesses": ["@", "A?", "A_"'
+        ', "B?", "BG", "BW", "C?", "C@", "CB", "CF", "C]", "D??", "D?C", "D?K", "D?["'
+        ', "D?{", "DBW", "DJ_", "DFw", "E???", "E??G", "E??W", "E??w", "E?@w", "E?Ko"'
+        ', "E@L?", "E?Bw", "E?\\\\o", "E?~o", "EFz_", "ELv_"]'
+        ', "witnesses_all_complete_bipartite": false, "per_edge_champions": []}\n'
+    )
+
+
+def test_search_spex_order_zero(capsys):
+    # the order-0 graph is connected, with spectral radius 0
+    code, out, err = run(capsys, "search", "spex", "--n", "0", "--connected")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["champions"] == [["?", 0.0]]
+    assert doc["feasible_count"] == doc["graphs_scanned"] == 1
+
+
 def test_verify_failure_exit_code_and_json(capsys, monkeypatch):
     import spexlab.cli as cli_mod
     from spexlab.quotient import Lemma32Report, lemma32_polynomial

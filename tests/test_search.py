@@ -22,7 +22,9 @@ from spexlab.graphs import (
 from spexlab.random_graphs import random_graph
 from spexlab.search import (
     PredicateSpec,
+    _census_cached,
     are_isomorphic,
+    canonical_certificate,
     canonical_form,
     canonical_graph6,
     conjecture_scan,
@@ -33,7 +35,12 @@ from spexlab.search import (
     spex_search,
 )
 from spexlab.spectral import spectral_radius
-from spexlab.structure import FeasibilityError, contains_clique, is_r_colorable
+from spexlab.structure import (
+    FeasibilityError,
+    contains_clique,
+    contains_generalized_book,
+    is_r_colorable,
+)
 
 
 def brute_canonical_graph6(g: Graph) -> str:
@@ -129,6 +136,29 @@ def test_census_graphs_are_canonical_and_ordered():
         prev = key
 
 
+def test_census_members_are_certificate_fixed_points():
+    # the enumeration represents each class by its certificate rows, never by
+    # the lex-min form
+    census = _census_cached(7, (4, None))
+    assert len(census) == 685
+    for g in census:
+        assert canonical_certificate(g) == g.rows
+
+
+def test_searches_canonicalise_only_the_champions(monkeypatch):
+    import spexlab.search as search_mod
+
+    calls = []
+    real = search_mod.canonical_perm
+    monkeypatch.setattr(search_mod, "canonical_perm", lambda g: calls.append(g) or real(g))
+    for search in (spex_search, ex_search):
+        _census_cached.cache_clear()
+        calls.clear()
+        rep = search(7, PredicateSpec(forbid_clique=4))
+        assert len(rep.champions) == 1
+        assert len(calls) == 1, search.__name__
+
+
 def test_triangle_free_counts_match_oeis():
     # OEIS A006785: triangle-free graphs on n unlabeled nodes
     for n, count in {7: 107, 8: 410}.items():
@@ -177,6 +207,31 @@ def test_predicate_spec_validation():
     assert p.prune_key() == (4, None)
     p = PredicateSpec(forbid_clique=3, forbid_book=(2, 2))
     assert p.prune_key() == (3, (2, 2))
+
+
+def test_satisfies_matches_direct_formula():
+    specs = [
+        PredicateSpec(forbid_clique=q, forbid_book=b, require_non_r_partite=r,
+                      require_connected=c)
+        for q in (None, 3, 4)
+        for b in (None, (2, 1), (3, 1), (2, 2), (3, 2))
+        for r in (None, 2, 3)
+        for c in (False, True)
+        if (q, b, r, c) != (None, None, None, False)
+    ]
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        g = random_graph(int(rng.integers(1, 9)), float(rng.uniform(0.2, 0.9)), rng)
+        for p in specs:
+            direct = not (
+                (p.forbid_clique is not None and contains_clique(g, p.forbid_clique))
+                or (p.forbid_book is not None
+                    and contains_generalized_book(g, *p.forbid_book)[0])
+                or (p.require_non_r_partite is not None
+                    and is_r_colorable(g, p.require_non_r_partite)[0])
+                or (p.require_connected and not g.is_connected())
+            )
+            assert p.satisfies(g) == direct, (g.rows, p)
 
 
 def test_spex_triangle_free_order5():
