@@ -180,6 +180,17 @@ def _bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:
     return np.unpackbits(packed.reshape(len(rows), nbytes), axis=1, count=n, bitorder="little")
 
 
+def _matrix_rows(a: np.ndarray) -> tuple[int, ...]:
+    """Rows of a 0/1 matrix as ints, bit j of row i set iff a[i, j]; the inverse
+    of ``_bit_matrix``."""
+    rows = []
+    for lo in range(0, len(a), 64):  # 64 rows at a time: the packed copies stay small
+        packed = np.packbits(a[lo : lo + 64], axis=1, bitorder="little")
+        w, raw = packed.shape[1], packed.tobytes()
+        rows += [int.from_bytes(raw[i * w : (i + 1) * w], "little") for i in range(len(packed))]
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------
@@ -461,13 +472,12 @@ def graph6_decode(text: str) -> Graph:
     if nbytes and (raw[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
         raise Graph6ParseError("nonzero padding bits", pos + nbytes - 1)
     stream = _G6_BITS[codes[pos:]].reshape(-1)
-    # column j of the upper triangle is row j of the lower one; filling and packing
-    # row by row keep the large temporaries (freed ones stay resident) to a and a.T
+    # column j of the upper triangle is row j of the lower one; filling row by row
+    # keeps the large temporaries (freed ones stay resident) to a and a.T
     a = np.zeros((n, n), dtype=np.uint8)
     start = 0
     for j in range(1, n):
         a[j, :j] = stream[start : start + j]
         start += j
     a |= a.T
-    rows = (int.from_bytes(np.packbits(r, bitorder="little"), "little") for r in a)
-    return Graph._unchecked(n, tuple(rows))
+    return Graph._unchecked(n, _matrix_rows(a))

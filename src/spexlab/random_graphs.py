@@ -1,20 +1,29 @@
-"""Seeded random graph generators for the property suites and CLI checks."""
+"""Seeded random graph generators for the property suites and CLI checks.
+
+Each candidate pair i < j (every pair, or every cross pair) takes one uniform
+draw in row-major order. All k draws come from one ``rng.random(k)`` call,
+which consumes the stream exactly as k scalar draws, so a seed gives the same
+graph as drawing pair by pair.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _matrix_rows
+
+
+def _graph_from_pairs(n: int, pairs: np.ndarray, p: float, rng: np.random.Generator) -> Graph:
+    """Keep each pair marked in the boolean strict upper triangle ``pairs`` with
+    probability p; the draws fill the marked cells in row-major order."""
+    a = np.zeros((n, n), dtype=np.uint8)
+    a[pairs] = rng.random(np.count_nonzero(pairs)) < p
+    a |= a.T
+    return Graph._unchecked(n, _matrix_rows(a))
 
 
 def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph._unchecked(n, tuple(rows))
+    return _graph_from_pairs(n, ~np.tri(n, dtype=bool), p, rng)
 
 
 def random_connected_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -35,11 +44,7 @@ def random_multipartite(n: int, r: int, p: float, rng: np.random.Generator) -> G
 
     The result is r-partite by construction, hence free of (r+1)-cliques.
     """
-    classes = [int(rng.integers(0, r)) for _ in range(n)]
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if classes[i] != classes[j] and rng.random() < p:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph._unchecked(n, tuple(rows))
+    # scalar class draws: a vector integers() call consumes the stream differently
+    classes = np.array([int(rng.integers(0, r)) for _ in range(n)], dtype=np.int64)
+    cross = ~np.tri(n, dtype=bool) & (classes[:, None] != classes)
+    return _graph_from_pairs(n, cross, p, rng)

@@ -271,10 +271,11 @@ def _census_cached(n: int, prune_key) -> tuple[Graph, ...]:
     return tuple(_orderly_levels(n, partial(_free_of, prune_key)))
 
 
-def _published_census(n: int, prune_key) -> list[Graph]:
+@lru_cache(maxsize=64)
+def _published_census(n: int, prune_key) -> tuple[Graph, ...]:
     """The census as published: lex-min representatives ordered by (edges, graph6)."""
     forms = [canonical_form(g) for g in _census_cached(n, prune_key)]
-    return sorted(forms, key=lambda g: (g.edge_count, graph6_encode(g)))
+    return tuple(sorted(forms, key=lambda g: (g.edge_count, graph6_encode(g))))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:

@@ -1,9 +1,11 @@
 """Exact structural predicates: colourability, clique/book containment,
 colour-criticality, cross-edge-maximising partitions, and degree-class splits.
 
-Everything here is exact (backtracking or exhaustive search); intended scale
-is a few dozen vertices for the colouring solver and a few thousand for the
-bitset clique machinery.
+Everything here is exact (backtracking or exhaustive search). The colouring
+search keeps its own stack, so its depth is not bounded by recursion: paths
+and cycles of thousands of vertices colour in well under a second, while its
+worst case stays exponential (dense graphs of a few dozen vertices). The
+bitset clique machinery is meant for a few thousand vertices.
 """
 
 from __future__ import annotations
@@ -235,7 +237,7 @@ def is_r_colorable(g: Graph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
         h = h2
     if len(greedy_clique(h)) > r:
         return False, None
-    colors = _color_backtrack(h, r)
+    colors, _ = _dsatur(h.rows, r)
     if colors is None:
         return False, None
     full = [0] * g.n
@@ -248,46 +250,83 @@ def is_r_colorable(g: Graph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
     return True, tuple(full)
 
 
-def _color_backtrack(g: Graph, r: int) -> Optional[list[int]]:
-    n = g.n
-    if n == 0:
-        return []
-    colors = [-1] * n
-    neighbor_colors = [0] * n  # bitmask of colours seen on neighbours
+def _dsatur(rows: Sequence[int], r: int) -> tuple[Optional[list[int]], int]:
+    """DSATUR backtracking (Brelaz, CACM 22(4), 1979) on bitset rows, with an
+    explicit stack, so depth is bounded by memory rather than recursion.
 
-    def choose() -> int:
-        best, key = -1, (-1, -1)
-        for v in range(n):
-            if colors[v] == -1:
-                sat = neighbor_colors[v].bit_count()
-                deg = g.rows[v].bit_count()
-                if (sat, deg) > key:
-                    best, key = v, (sat, deg)
-        return best
-
-    def rec(used: int) -> bool:
-        v = choose()
-        if v == -1:
-            return True
-        # symmetry breaking: at most one brand-new colour may be tried
-        limit = min(used + 1, r)
-        for c in range(limit):
-            if (neighbor_colors[v] >> c) & 1:
-                continue
-            colors[v] = c
-            touched = []
-            for w in bits(g.rows[v]):
-                if colors[w] == -1 and not (neighbor_colors[w] >> c) & 1:
-                    neighbor_colors[w] |= 1 << c
-                    touched.append(w)
-            if rec(max(used, c + 1)):
-                return True
-            colors[v] = -1
-            for w in touched:
-                neighbor_colors[w] &= ~(1 << c)
-        return False
-
-    return colors[:] if rec(0) else None
+    Each node colours the uncoloured vertex of highest saturation, then
+    highest degree, then lowest index, trying its colours in ascending order
+    with at most one brand-new colour. Returns ``(colours, 0)`` on success.
+    On failure it returns ``(None, core)``: the mask of every vertex the
+    search picked. The subgraph that ``core`` induces is not r-colourable
+    either, because every dead end was blocked by picked vertices only.
+    """
+    n = len(rows)
+    # relabel by (-degree, index): the lowest bit of a mask is then the choice
+    order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    adj = []
+    for v in order:
+        row, nr = rows[v], 0
+        while row:
+            low = row & -row
+            nr |= 1 << pos[low.bit_length() - 1]
+            row ^= low
+        adj.append(nr)
+    uncoloured = (1 << n) - 1
+    level = [0] * (r + 1)  # uncoloured vertices by saturation
+    level[0] = uncoloured
+    seen = [0] * r  # seen[c] & uncoloured: uncoloured vertices with a neighbour coloured c
+    colour = [0] * n
+    stack = []  # (vertex, its bit, its level, used before, colour, newly seen)
+    picked = 0
+    used = 0
+    while uncoloured:
+        s = r
+        while not level[s]:
+            s -= 1
+        bit = level[s] & -level[s]
+        v = bit.bit_length() - 1
+        picked |= bit
+        c = 0
+        while True:
+            limit = used + 1 if used < r else r
+            while c < limit and seen[c] & bit:
+                c += 1
+            if c < limit:
+                break
+            if not stack:
+                return None, sum(1 << order[i] for i in bits(picked))
+            v, bit, s, used, c, newly = stack.pop()
+            seen[c] ^= newly
+            t = 1
+            while newly:  # each newly seen vertex drops back one level
+                x = level[t] & newly
+                level[t] ^= x
+                level[t - 1] |= x
+                newly ^= x
+                t += 1
+            uncoloured |= bit
+            level[s] |= bit
+            c += 1
+        uncoloured ^= bit
+        level[s] ^= bit
+        newly = adj[v] & uncoloured & ~seen[c]
+        stack.append((v, bit, s, used, c, newly))
+        seen[c] |= newly
+        t = r - 1
+        while newly:  # each newly seen vertex climbs one level
+            x = level[t] & newly
+            level[t] ^= x
+            level[t + 1] |= x
+            newly ^= x
+            t -= 1
+        colour[order[v]] = c
+        if c == used:
+            used += 1
+    return colour, 0
 
 
 def chromatic_number(g: Graph) -> int:
@@ -305,14 +344,29 @@ def chromatic_number(g: Graph) -> int:
 
 
 def is_color_critical(g: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
-    """True iff removing some edge lowers the chromatic number; returns that edge."""
+    """True iff removing some edge lowers the chromatic number; returns the
+    first such edge in ``edges()`` order.
+
+    Only edges inside a refutation core T are tried: G - e still contains
+    G[T] when e is not inside T, so e cannot lower the chromatic number.
+    Each failed try shrinks T to its intersection with the core of G - e.
+    """
     if g.edge_count < 1:
         raise ValueError("colour-criticality needs at least one edge")
-    chi = chromatic_number(g)
-    for e in g.edges():
-        ok, _ = is_r_colorable(g.remove_edge(*e), chi - 1)
-        if ok:
-            return True, e
+    k = chromatic_number(g) - 1
+    rows = list(g.rows)
+    _, core = _dsatur(rows, k)
+    for i, j in g.edges():
+        if not (core >> i) & (core >> j) & 1:
+            continue
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+        colors, sub = _dsatur(rows, k)
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+        if colors is not None:
+            return True, (i, j)
+        core &= sub
     return False, None
 
 

@@ -1,11 +1,14 @@
 """End-to-end command-line behaviour: formats, pipes, and exit codes."""
 
+import io
 import json
 
+import numpy as np
 import pytest
 
 from spexlab.cli import main
-from spexlab.graphs import graph6_decode, graph6_encode, turan, y_graph
+from spexlab.graphs import cycle_graph, graph6_decode, graph6_encode, path_graph, turan, y_graph
+from spexlab.random_graphs import random_graph
 from spexlab.search import canonical_graph6
 
 
@@ -76,6 +79,80 @@ def test_check_flags(tmp_path, capsys):
     assert doc["is_r_partite"] is False
     assert doc["chromatic"] == 4
     assert doc["color_critical"] is True
+
+
+CHECK_PIN = (
+    '{"order": 20, "size": 39, "book": [3, 2], "contains_book": false, "book_witness": null'
+    ', "rpartite": 3, "is_r_partite": true, "coloring": [0, 0, 1, 2, 1, 1, 2, 0, 2, 0, 2, 1, 0, 2, 1, 2, 2, 1, 1, 0]'
+    ', "chromatic": 3, "color_critical": false, "critical_edge": null}\n'
+    '{"order": 24, "size": 82, "book": [3, 2], "contains_book": true, "book_witness": [7, 10, 21, 14, 20]'
+    ', "rpartite": 3, "is_r_partite": false, "coloring": null'
+    ', "chromatic": 4, "color_critical": false, "critical_edge": null}\n'
+    '{"order": 18, "size": 52, "book": [3, 2], "contains_book": true, "book_witness": [2, 7, 11, 3, 16]'
+    ', "rpartite": 3, "is_r_partite": false, "coloring": null'
+    ', "chromatic": 4, "color_critical": false, "critical_edge": null}\n'
+    '{"order": 18, "size": 43, "book": [3, 2], "contains_book": false, "book_witness": null'
+    ', "rpartite": 3, "is_r_partite": false, "coloring": null'
+    ', "chromatic": 4, "color_critical": true, "critical_edge": [4, 5]}\n'
+    '{"order": 22, "size": 32, "book": [3, 2], "contains_book": false, "book_witness": null'
+    ', "rpartite": 3, "is_r_partite": true, "coloring": [1, 1, 1, 1, 1, 0, 1, 0, 0, 1, 1, 1, 2, 1, 1, 0, 0, 0, 2, 0, 2, 0]'
+    ', "chromatic": 3, "color_critical": false, "critical_edge": null}\n'
+    '{"order": 23, "size": 53, "book": [3, 2], "contains_book": false, "book_witness": null'
+    ', "rpartite": 3, "is_r_partite": false, "coloring": null'
+    ', "chromatic": 4, "color_critical": true, "critical_edge": [0, 19]}\n'
+    '{"order": 21, "size": 84, "book": [3, 2], "contains_book": true, "book_witness": [6, 15, 16, 0, 5]'
+    ', "rpartite": 3, "is_r_partite": false, "coloring": null'
+    ', "chromatic": 5, "color_critical": true, "critical_edge": [14, 18]}\n'
+    '{"order": 10, "size": 11, "book": [3, 2], "contains_book": false, "book_witness": null'
+    ', "rpartite": 3, "is_r_partite": true, "coloring": [1, 1, 0, 0, 1, 1, 0, 2, 0, 1]'
+    ', "chromatic": 3, "color_critical": true, "critical_edge": [1, 3]}\n'
+    '{"order": 10, "size": 14, "book": [3, 2], "contains_book": false, "book_witness": null'
+    ', "rpartite": 3, "is_r_partite": true, "coloring": [2, 1, 0, 1, 1, 1, 0, 2, 1, 0]'
+    ', "chromatic": 3, "color_critical": false, "critical_edge": null}\n'
+    '{"order": 11, "size": 6, "book": [3, 2], "contains_book": false, "book_witness": null'
+    ', "rpartite": 3, "is_r_partite": true, "coloring": [0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0]'
+    ', "chromatic": 2, "color_critical": false, "critical_edge": null}\n'
+    '{"order": 21, "size": 92, "book": [3, 2], "contains_book": true, "book_witness": [0, 6, 15, 8, 10]'
+    ', "rpartite": 3, "is_r_partite": false, "coloring": null'
+    ', "chromatic": 5, "color_critical": false, "critical_edge": null}\n'
+    '{"order": 23, "size": 58, "book": [3, 2], "contains_book": false, "book_witness": null'
+    ', "rpartite": 3, "is_r_partite": false, "coloring": null'
+    ', "chromatic": 4, "color_critical": false, "critical_edge": null}\n'
+)
+
+
+def test_check_bytes(capsys, monkeypatch):
+    # witness colourings and critical edges of 12 seeded G(n, p) graphs, n in [10, 24]
+    rng = np.random.default_rng(4)
+    lines = []
+    for _ in range(12):
+        n, p = int(rng.integers(10, 25)), float(rng.uniform(0.1, 0.45))
+        lines.append(graph6_encode(random_graph(n, p, rng)))
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(s + "\n" for s in lines)))
+    code, out, _ = run(capsys, "check", "--in", "-", "--book", "3,2", "--rpartite", "3",
+                       "--chromatic", "--color-critical")
+    assert code == 0
+    assert out == CHECK_PIN
+
+
+def test_check_rpartite_on_a_long_path(capsys, monkeypatch):
+    # the colouring search keeps its own stack, so depth is not bounded by recursion
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(path_graph(3000)) + "\n"))
+    code, out, err = run(capsys, "check", "--in", "-", "--rpartite", "2", "--chromatic")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["is_r_partite"] is True and doc["chromatic"] == 2
+    col = doc["coloring"]
+    assert len(col) == 3000 and set(col) == {0, 1}
+    assert all(col[i] != col[i + 1] for i in range(2999))
+
+
+def test_check_color_critical_on_a_long_odd_cycle(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(cycle_graph(3001)) + "\n"))
+    code, out, err = run(capsys, "check", "--in", "-", "--color-critical")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["color_critical"] is True and doc["critical_edge"] == [0, 1]
 
 
 def test_search_json_and_csv(capsys):

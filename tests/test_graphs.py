@@ -27,7 +27,7 @@ from spexlab.graphs import (
     y_graph,
     y_graph_layout,
 )
-from spexlab.random_graphs import random_graph
+from spexlab.random_graphs import random_connected_graph, random_graph, random_multipartite
 
 
 def naive_graph6(g: Graph) -> str:
@@ -447,3 +447,28 @@ def test_graph6_error_messages_and_offsets(text, message, offset):
     with pytest.raises(Graph6ParseError, match=message) as ei:
         graph6_decode(text)
     assert ei.value.offset == offset
+
+
+def pairwise_random_graph(n, p, rng, classes=None):
+    """One scalar draw per pair i < j in row-major order (only cross pairs when
+    ``classes`` is given): the reference for the bulk draws."""
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (classes is None or classes[i] != classes[j]) and rng.random() < p:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 5), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_bulk_random_draws_match_pairwise_loop(n, r, p, seed):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert random_graph(n, p, a).rows == tuple(pairwise_random_graph(n, p, b))
+    g = random_multipartite(n, r, p, a)
+    classes = [int(b.integers(0, r)) for _ in range(n)]
+    assert g.rows == tuple(pairwise_random_graph(n, p, b, classes))
+    assert Graph(g.n, g.rows).rows == g.rows and a.random() == b.random()
+    h = random_connected_graph(n, p, a)
+    assert h.is_connected() and Graph(h.n, h.rows).rows == h.rows

@@ -2,16 +2,21 @@
 isomorphism oracle, colour-criticality, partitions, degree classes."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spexlab.graphs import (
     Graph,
+    bits,
     complete_graph,
     cycle_graph,
     empty_graph,
+    from_edges,
     generalized_book,
     make_multipartite,
     path_graph,
@@ -25,6 +30,7 @@ from spexlab.search import enumerate_graphs
 from spexlab.structure import (
     FeasibilityError,
     Partition,
+    _dsatur,
     chromatic_number,
     contains_clique,
     contains_generalized_book,
@@ -165,6 +171,155 @@ def test_color_critical():
     assert chromatic_number(g.remove_edge(*edge)) == chi - 1
     with pytest.raises(ValueError):
         is_color_critical(empty_graph(3))
+
+
+def reference_color_backtrack(g: Graph, r: int) -> Optional[list[int]]:
+    """The recursive DSATUR the bitset kernel replaced: same vertex choice
+    (saturation, then degree, then lowest index) and colour order."""
+    n = g.n
+    if n == 0:
+        return []
+    colors = [-1] * n
+    neighbor_colors = [0] * n  # bitmask of colours seen on neighbours
+
+    def choose() -> int:
+        best, key = -1, (-1, -1)
+        for v in range(n):
+            if colors[v] == -1:
+                sat = neighbor_colors[v].bit_count()
+                deg = g.rows[v].bit_count()
+                if (sat, deg) > key:
+                    best, key = v, (sat, deg)
+        return best
+
+    def rec(used: int) -> bool:
+        v = choose()
+        if v == -1:
+            return True
+        # symmetry breaking: at most one brand-new colour may be tried
+        limit = min(used + 1, r)
+        for c in range(limit):
+            if (neighbor_colors[v] >> c) & 1:
+                continue
+            colors[v] = c
+            touched = []
+            for w in bits(g.rows[v]):
+                if colors[w] == -1 and not (neighbor_colors[w] >> c) & 1:
+                    neighbor_colors[w] |= 1 << c
+                    touched.append(w)
+            if rec(max(used, c + 1)):
+                return True
+            colors[v] = -1
+            for w in touched:
+                neighbor_colors[w] &= ~(1 << c)
+        return False
+
+    return colors[:] if rec(0) else None
+
+
+def brute_colorable(rows, r: int, vertices) -> bool:
+    """Exhaustive r-colouring of the subgraph induced by ``vertices``, in index order."""
+    vs = sorted(vertices)
+    colour = {}
+
+    def rec(k: int) -> bool:
+        if k == len(vs):
+            return True
+        v = vs[k]
+        for c in range(r):
+            if all(colour.get(w) != c for w in bits(rows[v])):
+                colour[v] = c
+                if rec(k + 1):
+                    return True
+                del colour[v]
+        return False
+
+    return rec(0)
+
+
+def brute_first_critical_edge(g: Graph) -> Optional[tuple[int, int]]:
+    """The first edge e in ``edges()`` order with chi(G - e) = chi(G) - 1."""
+    chi = next(r for r in range(g.n + 1) if brute_colorable(g.rows, r, range(g.n)))
+    for e in g.edges():
+        if brute_colorable(g.remove_edge(*e).rows, chi - 1, range(g.n)):
+            return e
+    return None
+
+
+def grotzsch_graph() -> Graph:
+    """The Mycielskian of C5: triangle-free, 4-chromatic and colour-critical."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    edges += [(10, 5 + i) for i in range(5)]
+    return from_edges(11, edges)
+
+
+@st.composite
+def seeded_graphs(draw, max_n: int = 14) -> Graph:
+    n = draw(st.integers(0, max_n))
+    p = draw(st.floats(0.05, 0.95))
+    return random_graph(n, p, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(seeded_graphs(), st.integers(1, 6))
+def test_kernel_matches_recursive_reference(g, r):
+    colours, core = _dsatur(g.rows, r)
+    assert colours == reference_color_backtrack(g, r)
+    assert (core == 0) == (colours is not None)
+
+
+def test_refutation_cores_are_not_colorable():
+    rng = np.random.default_rng(17)
+    refuted = 0
+    for _ in range(300):
+        g = random_graph(int(rng.integers(1, 11)), float(rng.uniform(0.2, 0.95)), rng)
+        for r in range(1, 6):
+            colours, core = _dsatur(g.rows, r)
+            if colours is None:
+                refuted += 1
+                assert core and core < 1 << g.n
+                assert not brute_colorable(g.rows, r, bits(core)), (g.rows, r, core)
+    assert refuted > 300
+
+
+def test_color_critical_matches_definition():
+    named = [cycle_graph(k) for k in (3, 5, 7, 9)] + [complete_graph(k) for k in (2, 3, 4, 5, 6)]
+    named += [generalized_book(3, 2), grotzsch_graph(), cycle_graph(4), make_multipartite([3, 3])]
+    rng = np.random.default_rng(21)
+    seeded = [random_graph(int(rng.integers(2, 10)), float(rng.uniform(0.2, 0.9)), rng)
+              for _ in range(80)]
+    critical = 0
+    for g in named + [h for h in seeded if h.edge_count]:
+        e = brute_first_critical_edge(g)
+        assert is_color_critical(g) == (e is not None, e), g.rows
+        critical += e is not None
+    assert critical > 20 and is_color_critical(grotzsch_graph())[0]
+
+
+def test_color_critical_tries_only_edges_inside_the_core(monkeypatch):
+    # two disjoint K4: the first core is the first K4, so no edge of the second
+    # one is ever deleted, and each deletion leaves a K4 behind
+    import spexlab.structure as structure_mod
+
+    quads = [range(4), range(4, 8)]
+    g = from_edges(8, [e for q in quads for e in combinations(q, 2)])
+    removed = []
+    real = structure_mod._dsatur
+
+    def spy(rows, r):
+        removed.extend(e for e in g.edges() if not (rows[e[0]] >> e[1]) & 1)
+        return real(rows, r)
+
+    monkeypatch.setattr(structure_mod, "_dsatur", spy)
+    assert is_color_critical(g) == (False, None)
+    assert removed == list(combinations(range(4), 2))
+
+
+def test_deep_inputs_need_no_recursion():
+    ok, colours = is_r_colorable(path_graph(5000), 2)
+    assert ok and all(colours[i] != colours[i + 1] for i in range(4999))
+    assert is_color_critical(cycle_graph(5001)) == (True, (0, 1))
 
 
 def test_max_cross_partition_exact():
