@@ -12,17 +12,22 @@ upper-triangle bit string over all vertex orderings (read column by column, so
 each new vertex appends its adjacency to the previous ones), found by a
 branch-and-bound that prunes by prefix dominance against the best string found
 and by twin-class symmetry. It is computed only where a graph is printed.
+
+The construction-family scan needs neither labelling: it works from part sizes
+alone, taking each radius from a weighted (r+3)-cell graph, and builds no graph.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
-from .graphs import Graph, bits, graph6_encode, make_multipartite, u_graph, y_graph
+import numpy as np
+
+from .graphs import Graph, bits, graph6_encode, u_graph, y_graph_layout
 from .spectral import TIE_TOL, rotate_edges, spectral_radius
 from .structure import (
     FeasibilityError,
@@ -340,12 +345,7 @@ class PredicateSpec:
         return not self.require_connected or g.is_connected()
 
     def to_json_dict(self) -> dict:
-        return {
-            "forbid_book": list(self.forbid_book) if self.forbid_book else None,
-            "require_non_r_partite": self.require_non_r_partite,
-            "require_connected": self.require_connected,
-            "forbid_clique": self.forbid_clique,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -364,17 +364,7 @@ class SearchReport:
     ties_within_tol: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "predicate": self.predicate.to_json_dict(),
-            "objective": self.objective,
-            "champions": [[g6, val] for g6, val in self.champions],
-            "gap_to_runner_up": self.gap_to_runner_up,
-            "exhaustive": self.exhaustive,
-            "graphs_scanned": self.graphs_scanned,
-            "feasible_count": self.feasible_count,
-            "ties_within_tol": list(self.ties_within_tol),
-        }
+        return asdict(self)
 
     def to_csv_rows(self) -> list[list]:
         return [
@@ -451,46 +441,83 @@ class FamilyScanReport:
     unique: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "n": self.n,
-            "max_rho": self.max_rho,
-            "argmax_is_y": self.argmax_is_y,
-            "configs_scanned": self.configs_scanned,
-            "gap_to_non_isomorphic": self.gap_to_non_isomorphic,
-            "unique": self.unique,
-        }
+        return asdict(self)
 
 
-def _partitions_into(total: int, parts: int, max_part: Optional[int] = None):
-    """Non-increasing positive integer tuples with the given length and sum."""
-    if max_part is None:
-        max_part = total
-    if parts == 1:
-        if 1 <= total <= max_part:
-            yield (total,)
+def _partitions_into(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Non-increasing positive integer tuples with the given length and sum, in
+    decreasing lexicographic order."""
+    if not 1 <= parts <= total:
         return
-    for first in range(min(total - parts + 1, max_part), 0, -1):
-        for rest in _partitions_into(total - first, parts - 1, first):
-            yield (first,) + rest
+    a = [total - parts + 1] + [1] * (parts - 1)
+    while True:
+        yield tuple(a)
+        # lower by one the last entry that still has room for its suffix sum plus
+        # one on the entries after it, then refill those greedily
+        tail = 0
+        for i in range(parts - 2, -1, -1):
+            tail += a[i + 1]
+            if (a[i] - 1) * (parts - 1 - i) > tail:
+                break
+        else:
+            return
+        a[i] -= 1
+        rest = tail + 1
+        for j in range(i + 1, parts):
+            a[j] = min(a[i], rest - (parts - 1 - j))
+            rest -= a[j]
 
 
-def _family_config_graph(sizes: tuple[int, ...], slot_v: int, slot_w: int) -> Graph:
-    """Complete multipartite on sizes, a removed cross edge vw, and a new
-    vertex adjacent to v, w, and every part not hosting v or w."""
-    base = make_multipartite(sizes)
-    rows = list(base.rows)
-    v = sum(sizes[:slot_v])
-    w = sum(sizes[:slot_w])
-    # v and w share exactly the parts hosting neither of them
-    umask = (rows[v] & rows[w]) | (1 << v) | (1 << w)
-    rows[v] &= ~(1 << w)
-    rows[w] &= ~(1 << v)
-    u = base.n
-    for t in bits(umask):
-        rows[t] |= 1 << u
-    rows.append(umask)
-    return Graph._unchecked(u + 1, tuple(rows))
+def _family_configs(r: int, n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Each construction-family configuration once, as (part sizes, slot a,
+    slot b) with a < b. Its class is fixed by the sizes and the pair of slot
+    sizes, so each pair is taken at its first slots, in slot-pair order.
+    Raises FeasibilityError once there are more than FAMILY_CONFIG_GUARD."""
+    count = 0
+    for sizes in _partitions_into(n - 1, r):
+        heads = [i for i in range(r) if i == 0 or sizes[i] < sizes[i - 1]]
+        for k, ia in enumerate(heads):
+            twin = [ia + 1] if sizes[ia + 1 : ia + 2] == (sizes[ia],) else []
+            for ib in twin + heads[k + 1 :]:
+                count += 1
+                if count > FAMILY_CONFIG_GUARD:
+                    raise FeasibilityError(
+                        f"family scan guard: more than {FAMILY_CONFIG_GUARD} configurations"
+                    )
+                yield sizes, ia, ib
+
+
+def _family_cell_adjacency(r: int) -> np.ndarray:
+    """The 0/1 adjacency C of the r + 3 independent cells of a configuration:
+    the new vertex u; v and w, the ends of the removed cross edge in parts a
+    and b; A' = part a - v; B' = part b - w; then the other parts in slot
+    order. Two cells are completely joined unless they are uA', uB', vw, vA'
+    or wB'."""
+    c = 1 - np.eye(r + 3, dtype=np.int64)
+    c[[0, 0, 1, 1, 2], [3, 4, 2, 3, 4]] = c[[3, 4, 2, 3, 4], [0, 0, 1, 1, 2]] = 0
+    return c
+
+
+def _family_cell_sizes(sizes: tuple[int, ...], ia: int, ib: int) -> np.ndarray:
+    """The cell sizes s: the configuration is C blown up by s, with equitable
+    quotient C diag(s). A cell of size 0 only adds the eigenvalue 0."""
+    rest = sizes[:ia] + sizes[ia + 1 : ib] + sizes[ib + 1 :]
+    return np.array((1, 1, 1, sizes[ia] - 1, sizes[ib] - 1) + rest)
+
+
+def _cell_graph_rho(c: np.ndarray, s: np.ndarray) -> float:
+    """Spectral radius of the blow-up of c by s: the largest eigenvalue of
+    diag(sqrt s) c diag(sqrt s), whose entries sqrt(s_i s_j) are rounded once."""
+    return float(np.linalg.eigvalsh(c * np.sqrt(np.outer(s, s)))[-1])
+
+
+def _family_y_key(r: int, n: int) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """(part sizes, sorted slot sizes) of the configuration isomorphic to
+    y_graph(r, n): its new vertex is u, its slot parts T1 and T2 - u."""
+    lay = y_graph_layout(r, n)
+    sizes = [len(p) for p in lay.parts]
+    sizes[lay.t2] -= 1
+    return tuple(sorted(sizes, reverse=True)), tuple(sorted((sizes[lay.t1], sizes[lay.t2])))
 
 
 def lemma27_scan(r: int, n: int, unique_margin: float = 1e-9) -> FamilyScanReport:
@@ -498,47 +525,24 @@ def lemma27_scan(r: int, n: int, unique_margin: float = 1e-9) -> FamilyScanRepor
     n-1, one vertex in each of two chosen parts losing their shared edge, a
     new vertex joined to both and to all the other parts) and check that the
     spectral maximum is attained exactly by the configuration isomorphic to
-    y_graph(r, n)."""
+    y_graph(r, n). Works from the part sizes alone: each radius is that of the
+    weighted cell graph, and no graph is built."""
     if r < 2:
         raise ValueError("need r >= 2")
     if n < 2 * r:
         raise ValueError("need n >= 2r")
-    configs = []
-    seen = set()
-    for sizes in _partitions_into(n - 1, r):
-        for ia, ib in combinations(range(r), 2):
-            key = (sizes, tuple(sorted((sizes[ia], sizes[ib]))))
-            if key in seen:
-                continue
-            seen.add(key)
-            configs.append((sizes, ia, ib))
-    if len(configs) > FAMILY_CONFIG_GUARD:
-        raise FeasibilityError(
-            f"family scan guard: {len(configs)} configurations exceed {FAMILY_CONFIG_GUARD}"
-        )
-    y = y_graph(r, n)
-    best_rho = -math.inf
-    best_is_y = False
-    best_other = -math.inf
-    for sizes, ia, ib in configs:
-        g = _family_config_graph(sizes, ia, ib)
-        rho = spectral_radius(g).rho
-        is_y = are_isomorphic(g, y)
-        if rho > best_rho:
-            best_rho = rho
-            best_is_y = is_y
-        if not is_y and rho > best_other:
-            best_other = rho
-    gap = None if best_other == -math.inf else best_rho - best_other
-    return FamilyScanReport(
-        r=r,
-        n=n,
-        max_rho=best_rho,
-        argmax_is_y=best_is_y,
-        configs_scanned=len(configs),
-        gap_to_non_isomorphic=gap,
-        unique=best_is_y and (gap is None or gap > unique_margin),
-    )
+    scanned = sum(1 for _ in _family_configs(r, n))  # meets the guard before any eigensolve
+    y_key = _family_y_key(r, n)
+    c = _family_cell_adjacency(r)
+    radii = []
+    for sizes, ia, ib in _family_configs(r, n):
+        is_y = (sizes, (sizes[ib], sizes[ia])) == y_key
+        radii.append((_cell_graph_rho(c, _family_cell_sizes(sizes, ia, ib)), is_y))
+    best_rho, best_is_y = max(radii, key=lambda t: t[0])  # ties go to the first configuration
+    others = [rho for rho, is_y in radii if not is_y]
+    gap = best_rho - max(others) if others else None
+    unique = best_is_y and (gap is None or gap > unique_margin)
+    return FamilyScanReport(r, n, best_rho, best_is_y, scanned, gap, unique)
 
 
 # ---------------------------------------------------------------------
@@ -626,15 +630,7 @@ class ConjectureScanReport:
     per_edge_champions: tuple[dict, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "scanned": self.scanned,
-            "violations": list(self.violations),
-            "equality_witnesses": list(self.equality_witnesses),
-            "witnesses_all_complete_bipartite": self.witnesses_all_complete_bipartite,
-            "per_edge_champions": list(self.per_edge_champions),
-        }
+        return asdict(self)
 
 
 def conjecture_scan(

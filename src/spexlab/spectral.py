@@ -113,16 +113,17 @@ def spectral_radius(
     if tol <= 0:
         raise ValueError("tol must be positive")
     comps = g.components()
+    a = adjacency_matrix(g)
     best: Optional[tuple[float, Sequence[int], np.ndarray, float, int]] = None
     for comp in comps:
         if len(comp) == 1:
             rho, vec, res, its = 0.0, np.ones(1), 0.0, 0
         else:
-            a = adjacency_matrix(g if len(comps) == 1 else g.induced(comp))
+            sub = a if len(comps) == 1 else a[np.ix_(comp, comp)]
             if len(comp) <= DENSE_MAX_N:
-                rho, vec, res, its = _eigh_dense(a)
+                rho, vec, res, its = _eigh_dense(sub)
             else:
-                rho, vec, res, its = _power_iterate_dense(a, tol, max_iter, seed)
+                rho, vec, res, its = _power_iterate_dense(sub, tol, max_iter, seed)
         if best is None or rho > best[0] + TIE_TOL:
             best = (rho, comp, vec, res, its)
     rho, comp, vec, res, its = best

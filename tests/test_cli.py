@@ -182,6 +182,32 @@ def test_verify_lemma27(capsys):
     assert json.loads(out)["pass"]
 
 
+LEMMA27_PINS = {
+    ("4", "30"): '{"r": 4, "n": 30, "max_rho": 22.111013729466023, "argmax_is_y": true, '
+    '"configs_scanned": 910, "gap_to_non_isomorphic": 0.011916678262245739, "unique": true, '
+    '"pass": true}\n',
+    ("3", "14"): '{"r": 3, "n": 14, "max_rho": 8.886718777211819, "argmax_is_y": true, '
+    '"configs_scanned": 36, "gap_to_non_isomorphic": 0.06989917279437563, "unique": true, '
+    '"pass": true}\n',
+    ("2", "4"): '{"r": 2, "n": 4, "max_rho": 1.618033988749895, "argmax_is_y": true, '
+    '"configs_scanned": 1, "gap_to_non_isomorphic": null, "unique": true, "pass": true}\n',
+}
+
+
+@pytest.mark.parametrize("r,n", sorted(LEMMA27_PINS))
+def test_verify_lemma27_stdout_pins(capsys, r, n):
+    code, out, _ = run(capsys, "verify", "lemma27", "--r", r, "--n", n)
+    assert code == 0 and out == LEMMA27_PINS[r, n]
+
+
+@pytest.mark.parametrize("r,n", [("3", "3000"), ("400", "800"), ("1500", "3000")])
+def test_verify_lemma27_guard_is_a_usage_error(capsys, r, n):
+    code, out, err = run(capsys, "verify", "lemma27", "--r", r, "--n", n)
+    assert code == 2 and out == ""
+    assert err.startswith("error: family scan guard: more than 20000 configurations")
+    assert "Traceback" not in err
+
+
 def test_verify_lemma28(capsys):
     code, out, _ = run(capsys, "verify", "lemma28", "--r", "3", "--n-max", "40")
     assert code == 0

@@ -8,8 +8,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import spexlab.search as search
 from spexlab.graphs import (
     Graph,
+    bits,
     complete_graph,
     cycle_graph,
     graph6_decode,
@@ -19,10 +21,18 @@ from spexlab.graphs import (
     u_graph,
     y_graph,
 )
+from spexlab.quotient import Partition, quotient_matrix, y_graph_quotient_partition
 from spexlab.random_graphs import random_graph
 from spexlab.search import (
+    FAMILY_CONFIG_GUARD,
     PredicateSpec,
+    _cell_graph_rho,
     _census_cached,
+    _family_cell_adjacency,
+    _family_cell_sizes,
+    _family_configs,
+    _family_y_key,
+    _partitions_into,
     are_isomorphic,
     canonical_certificate,
     canonical_form,
@@ -329,6 +339,147 @@ def test_lemma27_scan_small():
     assert rep.argmax_is_y and rep.unique
     with pytest.raises(ValueError):
         lemma27_scan(3, 5)
+
+
+def recursive_partitions(total, parts, max_part=None):
+    """The recursive generator the family scan used to enumerate part sizes."""
+    if max_part is None:
+        max_part = total
+    if parts == 1:
+        if 1 <= total <= max_part:
+            yield (total,)
+        return
+    for first in range(min(total - parts + 1, max_part), 0, -1):
+        for rest in recursive_partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def family_config_graph(sizes, slot_v, slot_w):
+    """Reference build of a configuration: complete multipartite on sizes, a
+    removed cross edge vw, and a new vertex adjacent to v, w and every part
+    hosting neither."""
+    base = make_multipartite(sizes)
+    rows = list(base.rows)
+    v = sum(sizes[:slot_v])
+    w = sum(sizes[:slot_w])
+    umask = (rows[v] & rows[w]) | (1 << v) | (1 << w)
+    rows[v] &= ~(1 << w)
+    rows[w] &= ~(1 << v)
+    u = base.n
+    for t in bits(umask):
+        rows[t] |= 1 << u
+    rows.append(umask)
+    return Graph._unchecked(u + 1, tuple(rows))
+
+
+def family_config_cells(sizes, slot_v, slot_w):
+    """The cells u, v, w, A', B', then the other parts, of the reference build;
+    a part of size 1 leaves its primed cell empty."""
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    blocks = [tuple(range(s, s + p)) for s, p in zip(starts, sizes)]
+    v, w = starts[slot_v], starts[slot_w]
+    others = [b for i, b in enumerate(blocks) if i not in (slot_v, slot_w)]
+    return [(sum(sizes),), (v,), (w,), blocks[slot_v][1:], blocks[slot_w][1:]] + others
+
+
+def graph_family_scan(r, n):
+    """The family scan on built graphs: every slot pair of every partition,
+    deduplicated by (sizes, slot sizes), with the dense radius and an
+    isomorphism test against y_graph(r, n)."""
+    y = y_graph(r, n)
+    seen = set()
+    best_rho, best_is_y, best_other = -math.inf, False, -math.inf
+    for sizes in recursive_partitions(n - 1, r):
+        for ia in range(r):
+            for ib in range(ia + 1, r):
+                key = (sizes, tuple(sorted((sizes[ia], sizes[ib]))))
+                if key in seen:
+                    continue
+                seen.add(key)
+                g = family_config_graph(sizes, ia, ib)
+                rho = spectral_radius(g).rho
+                is_y = are_isomorphic(g, y)
+                if rho > best_rho:
+                    best_rho, best_is_y = rho, is_y
+                if not is_y:
+                    best_other = max(best_other, rho)
+    gap = None if best_other == -math.inf else best_rho - best_other
+    return best_rho, best_is_y, len(seen), gap
+
+
+def test_partitions_into_keeps_the_recursive_order():
+    for total in range(31):
+        for parts in range(1, 9):
+            assert list(_partitions_into(total, parts)) == list(
+                recursive_partitions(total, parts)
+            ), (total, parts)
+
+
+FAMILY_ORACLE_CASES = [(r, n) for r in range(2, 6) for n in range(2 * r, 21)]
+
+
+@pytest.mark.parametrize("r,n", FAMILY_ORACLE_CASES)
+def test_family_cell_graph_matches_built_configurations(r, n):
+    c = _family_cell_adjacency(r)
+    y = y_graph(r, n)
+    y_key = _family_y_key(r, n)
+    for sizes, ia, ib in _family_configs(r, n):
+        g = family_config_graph(sizes, ia, ib)
+        s = _family_cell_sizes(sizes, ia, ib)
+        cells = family_config_cells(sizes, ia, ib)
+        assert [len(cell) for cell in cells] == s.tolist()
+        full = [k for k, cell in enumerate(cells) if cell]
+        q = quotient_matrix(g, Partition(tuple(cells[k] for k in full)))
+        assert np.array_equal(np.array(q.entries), (c * s)[np.ix_(full, full)]), (sizes, ia, ib)
+        assert _cell_graph_rho(c, s) == pytest.approx(spectral_radius(g).rho, abs=1e-12)
+        is_y = (sizes, (sizes[ib], sizes[ia])) == y_key
+        assert is_y == are_isomorphic(g, y), (sizes, ia, ib)
+
+
+@pytest.mark.parametrize("r,n", [(2, 6), (2, 9), (3, 9), (3, 11), (4, 12), (4, 15), (5, 15)])
+def test_y_graph_quotient_is_the_family_quotient_at_its_key(r, n):
+    y_sizes, (low, high) = _family_y_key(r, n)
+    ia = y_sizes.index(high)
+    ib = y_sizes.index(low) if low < high else ia + 1
+    q = (_family_cell_adjacency(r) * _family_cell_sizes(y_sizes, ia, ib)).tolist()
+    swap = [1, 0] + list(range(2, r + 3))  # y's cells start v, u; the family's u, v
+    expect = [[q[i][j] for j in swap] for i in swap]
+    got = quotient_matrix(y_graph(r, n), y_graph_quotient_partition(r, n))
+    assert [list(row) for row in got.entries] == expect
+
+
+@pytest.mark.parametrize("r,n", FAMILY_ORACLE_CASES + [(3, 30), (4, 30)])
+def test_lemma27_scan_matches_the_graph_scan(r, n):
+    rho, is_y, count, gap = graph_family_scan(r, n)
+    rep = lemma27_scan(r, n)
+    assert (rep.argmax_is_y, rep.configs_scanned) == (is_y, count)
+    assert rep.max_rho == pytest.approx(rho, abs=1e-12)
+    assert (rep.gap_to_non_isomorphic is None) == (gap is None)
+    if gap is not None:
+        assert rep.gap_to_non_isomorphic == pytest.approx(gap, abs=1e-12)
+    assert rep.unique == (is_y and (gap is None or gap > 1e-9))
+
+
+def test_lemma27_scan_builds_no_graph(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the family scan must work from part sizes alone")
+
+    for name in ("spectral_radius", "are_isomorphic", "canonical_certificate"):
+        monkeypatch.setattr(search, name, forbidden)
+    monkeypatch.setattr(Graph, "_unchecked", classmethod(forbidden))
+    monkeypatch.setattr(Graph, "__post_init__", forbidden)
+    rep = lemma27_scan(4, 12)
+    assert rep.argmax_is_y and rep.unique and rep.configs_scanned > 1
+
+
+def test_family_scan_guard_counts_while_enumerating():
+    seen = 0
+    with pytest.raises(FeasibilityError, match=f"family scan guard: more than {FAMILY_CONFIG_GUARD}"):
+        for _ in _family_configs(3, 3000):
+            seen += 1
+    assert seen == FAMILY_CONFIG_GUARD
+    with pytest.raises(FeasibilityError, match="family scan guard"):
+        lemma27_scan(3, 3000)
 
 
 def test_hill_climb_from_cycle():

@@ -14,14 +14,17 @@ from spexlab.graphs import (
     make_multipartite,
     path_graph,
     turan,
+    y_graph,
 )
 from spexlab.random_graphs import random_connected_graph, random_graph
-from spexlab.search import enumerate_graphs
+from spexlab.search import _census_cached, enumerate_graphs
 from spexlab.spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     DENSE_MAX_N,
+    TIE_TOL,
     ConvergenceError,
+    SpectralResult,
     _power_iterate_dense,
     adjacency_matrix,
     check_wilf,
@@ -61,6 +64,29 @@ def test_disconnected_max_over_components():
     # winner is the first component attaining the max; other side zeroed
     assert all(x > 0 for x in res.vector[:3])
     assert all(x == 0 for x in res.vector[3:])
+
+
+def spectral_radius_via_induced(g):
+    """Reference: solve each component as its own graph built with g.induced."""
+    comps = g.components()
+    best = None
+    for comp in comps:
+        res = spectral_radius(g.induced(comp))
+        if best is None or res.rho > best[0].rho + TIE_TOL:
+            best = (res, comp)
+    res, comp = best
+    full = [0.0] * g.n
+    for v, x in zip(comp, res.vector):
+        full[v] = x
+    return SpectralResult(res.rho, tuple(full), res.residual, res.iterations, len(comps) > 1)
+
+
+def test_disconnected_components_match_induced_reference():
+    graphs = [g for g in _census_cached(7, (None, None)) if not g.is_connected()]
+    graphs.append(disjoint_union(y_graph(3, 200), empty_graph(1)))
+    assert len(graphs) > 100
+    for g in graphs:
+        assert spectral_radius(g) == spectral_radius_via_induced(g), g.rows
 
 
 def test_adjacency_matrix_matches_edge_list():
