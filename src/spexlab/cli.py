@@ -20,6 +20,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional
 
@@ -183,15 +184,7 @@ def _cmd_construct(args) -> int:
 def _cmd_spectrum(args) -> int:
     for _, g in _read_graph_lines(args.infile):
         res = spectral_radius(g, tol=args.tol, max_iter=args.maxiter, seed=args.seed)
-        _emit({
-            "order": g.n,
-            "size": g.edge_count,
-            "rho": res.rho,
-            "vector": list(res.vector),
-            "residual": res.residual,
-            "iterations": res.iterations,
-            "disconnected": res.disconnected,
-        })
+        _emit({"order": g.n, "size": g.edge_count, **asdict(res)})
     return 0
 
 

@@ -1,7 +1,8 @@
 """Immutable bit-packed simple graphs, the extremal family constructors, and graph6 I/O.
 
 Vertices are 0..n-1. Adjacency is stored as one Python int per row, bit j of
-``rows[i]`` set iff ij is an edge. All constructors return new values; nothing
+``rows[i]`` set iff ij is an edge; ``_reordered`` is the one routine that
+renames vertices in such rows. All constructors return new values; nothing
 mutates a Graph after creation, so graphs are safe to share across threads.
 """
 
@@ -110,29 +111,20 @@ class Graph:
         return self.induced(keep)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
-        idx = {u: k for k, u in enumerate(vertices)}
-        if len(idx) != len(vertices) or (idx and not (0 <= min(idx) and max(idx) < self.n)):
+        vs = [int(v) for v in vertices]  # numpy ints would overflow the shifts
+        if len(set(vs)) != len(vs) or (vs and not (0 <= min(vs) and max(vs) < self.n)):
             raise ValueError(f"induced vertices must be distinct and lie in 0..{self.n - 1}")
-        rows = [0] * len(vertices)
-        for k, u in enumerate(vertices):
-            r = self.rows[u]
-            for w in bits(r):
-                if w in idx:
-                    rows[k] |= 1 << idx[w]
-        return Graph._unchecked(len(vertices), tuple(rows))
+        return Graph._unchecked(len(vs), _reordered(self.rows, vs))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """New graph where old vertex v becomes perm[v]."""
         p = [int(t) for t in perm]
         if sorted(p) != list(range(self.n)):
             raise ValueError(f"relabel needs a permutation of range({self.n})")
-        rows = [0] * self.n
-        for v in range(self.n):
-            nr = 0
-            for w in bits(self.rows[v]):
-                nr |= 1 << p[w]
-            rows[p[v]] = nr
-        return Graph._unchecked(self.n, tuple(rows))
+        order = [0] * self.n
+        for v, t in enumerate(p):
+            order[t] = v
+        return Graph._unchecked(self.n, _reordered(self.rows, order))
 
     # -- connectivity --------------------------------------------------
 
@@ -171,6 +163,25 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _reordered(rows: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the subgraph induced on the distinct vertices ``order``, with
+    vertex order[k] renamed k."""
+    pos = [0] * len(rows)
+    keep = 0
+    for k, v in enumerate(order):
+        pos[v] = k
+        keep |= 1 << v
+    out = []
+    for v in order:
+        r, x = rows[v] & keep, 0
+        while r:
+            low = r & -r
+            x |= 1 << pos[low.bit_length() - 1]
+            r ^= low
+        out.append(x)
+    return tuple(out)
 
 
 def _bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:

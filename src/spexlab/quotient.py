@@ -8,7 +8,7 @@ the final root refinement and in cross-checks against the dense eigensolver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -286,12 +286,6 @@ def quotient_matrix(g: Graph, partition: Partition) -> IntMatrix:
     return IntMatrix(tuple(rows))
 
 
-def adjacency_int_matrix(g: Graph) -> IntMatrix:
-    return IntMatrix.of(
-        [[1 if g.has_edge(i, j) else 0 for j in range(g.n)] for i in range(g.n)]
-    )
-
-
 # ---------------------------------------------------------------------
 # the six-cell pipeline for the folded-Turán family
 # ---------------------------------------------------------------------
@@ -388,18 +382,10 @@ class Lemma32Report:
         return self.poly_match and self.sign_ok and self.rho_agree and self.above_lower_bound
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "poly_match": self.poly_match,
-            "mismatch_index": self.mismatch_index,
-            "sign_ok": self.sign_ok,
-            "rho_quotient": self.rho_quotient,
-            "rho_dense": self.rho_dense,
-            "rho_agree": self.rho_agree,
-            "above_lower_bound": self.above_lower_bound,
-            "scaled_polynomial": self.scaled_polynomial.to_json_dict(),
-            "pass": self.ok,
-        }
+        out = asdict(self)
+        out["scaled_polynomial"] = self.scaled_polynomial.to_json_dict()
+        out["pass"] = self.ok
+        return out
 
 
 def verify_lemma32(n: int, tol: float = 1e-8) -> Lemma32Report:

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .graphs import Graph, bits, graph6_encode, u_graph, y_graph_layout
+from .graphs import Graph, _reordered, bits, graph6_encode, u_graph, y_graph_layout
 from .spectral import TIE_TOL, rotate_edges, spectral_radius
 from .structure import (
     FeasibilityError,
@@ -87,20 +87,7 @@ def canonical_certificate(g: Graph) -> tuple[int, ...]:
             if c & (c - 1):
                 break
         else:
-            order = [cell.bit_length() - 1 for cell in cells]
-            pos = [0] * n
-            for p, v in enumerate(order):
-                pos[v] = p
-            leaf = []
-            for v in order:
-                r = rows[v]
-                x = 0
-                while r:
-                    low = r & -r
-                    x |= 1 << pos[low.bit_length() - 1]
-                    r ^= low
-                leaf.append(x)
-            cert = tuple(leaf)
+            cert = _reordered(rows, [cell.bit_length() - 1 for cell in cells])
             if best is None or cert < best:
                 best = cert
             continue
@@ -201,11 +188,7 @@ def canonical_perm(g: Graph) -> list[int]:
 
 def canonical_form(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class."""
-    perm = canonical_perm(g)
-    inv = [0] * g.n
-    for pos, v in enumerate(perm):
-        inv[v] = pos
-    return g.relabel(inv)
+    return g.induced(canonical_perm(g))
 
 
 def canonical_graph6(g: Graph) -> str:

@@ -4,8 +4,9 @@ colour-criticality, cross-edge-maximising partitions, and degree-class splits.
 Everything here is exact (backtracking or exhaustive search). The colouring
 search keeps its own stack, so its depth is not bounded by recursion: paths
 and cycles of thousands of vertices colour in well under a second, while its
-worst case stays exponential (dense graphs of a few dozen vertices). The
-bitset clique machinery is meant for a few thousand vertices.
+worst case stays exponential (dense graphs of a few dozen vertices). Twins
+(vertices with identical neighbourhoods) are merged once before colouring.
+The bitset clique machinery is meant for a few thousand vertices.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, _reordered, bits, mask_of
 
 
 class FeasibilityError(ValueError):
@@ -206,7 +207,8 @@ def contains_generalized_book(
 
 
 def _contract_twins(g: Graph) -> tuple[Graph, list[list[int]]]:
-    """Merge vertices with identical open neighbourhoods (colour-equivalent)."""
+    """Merge vertices with identical open neighbourhoods (colour-equivalent).
+    One pass leaves no twins: deleting a twin never makes two non-twins equal."""
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
         groups.setdefault(g.rows[v], []).append(v)
@@ -221,29 +223,23 @@ def is_r_colorable(g: Graph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exact r-colourability with a verified witness colouring on success.
 
     DSATUR-ordered backtracking with first-colour symmetry breaking, after
-    merging identical-neighbourhood twins (which never changes colourability).
+    merging identical-neighbourhood twins once (which never changes
+    colourability).
     """
     if r < 1:
         raise ValueError("need r >= 1")
     if g.n == 0:
         return True, ()
-    h, members = g, [[v] for v in range(g.n)]
-    while True:
-        h2, members2 = _contract_twins(h)
-        if h2.n == h.n:
-            break
-        # members2 groups h-indices; compose with the previous grouping
-        members = [sorted(x for hi in grp for x in members[hi]) for grp in members2]
-        h = h2
+    h, members = _contract_twins(g)
     if len(greedy_clique(h)) > r:
         return False, None
     colors, _ = _dsatur(h.rows, r)
     if colors is None:
         return False, None
     full = [0] * g.n
-    for rep_idx, grp in enumerate(members):
+    for c, grp in zip(colors, members):
         for v in grp:
-            full[v] = colors[rep_idx]
+            full[v] = c
     for i, j in g.edges():
         if full[i] == full[j]:
             raise AssertionError("internal error: witness colouring is improper")
@@ -264,17 +260,7 @@ def _dsatur(rows: Sequence[int], r: int) -> tuple[Optional[list[int]], int]:
     n = len(rows)
     # relabel by (-degree, index): the lowest bit of a mask is then the choice
     order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    adj = []
-    for v in order:
-        row, nr = rows[v], 0
-        while row:
-            low = row & -row
-            nr |= 1 << pos[low.bit_length() - 1]
-            row ^= low
-        adj.append(nr)
+    adj = _reordered(rows, order)
     uncoloured = (1 << n) - 1
     level = [0] * (r + 1)  # uncoloured vertices by saturation
     level[0] = uncoloured
@@ -333,14 +319,11 @@ def chromatic_number(g: Graph) -> int:
     """Exact chromatic number (exponential worst case; fine to a few dozen vertices)."""
     if g.n == 0:
         return 0
-    if g.edge_count == 0:
-        return 1
-    lo = len(greedy_clique(g))
-    for r in range(max(lo, 2), g.n + 1):
-        ok, _ = is_r_colorable(g, r)
-        if ok:
-            return r
-    return g.n
+    h, _ = _contract_twins(g)
+    r = len(greedy_clique(h))
+    while not is_r_colorable(h, r)[0]:
+        r += 1
+    return r
 
 
 def is_color_critical(g: Graph) -> tuple[bool, Optional[tuple[int, int]]]:

@@ -10,6 +10,7 @@ from spexlab.graphs import (
     FamilySpec,
     Graph,
     Graph6ParseError,
+    _reordered,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -369,6 +370,47 @@ def test_derived_graphs_stay_simple():
     for h in (y_graph(3, 11), y_graph(4, 13), turan(4, 13), generalized_book(3, 2),
               u_graph(6), complete_graph(5), empty_graph(3), cycle_graph(6)):
         assert Graph(h.n, h.rows) == h
+
+
+# ---------------------------------------------------------------------
+# the one relabelling of bitset rows
+# ---------------------------------------------------------------------
+
+
+def reference_induced(g: Graph, order) -> Graph:
+    """g induced on ``order``, vertex order[k] renamed k, rebuilt from its edges."""
+    order = [int(v) for v in order]
+    return from_edges(len(order), [(k, t) for k, u in enumerate(order)
+                                   for t, w in enumerate(order) if k < t and g.has_edge(u, w)])
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 63, 64, 65, 130])
+def test_reordered_matches_edge_rebuild(n):
+    rng = np.random.default_rng(n)
+    for p in (0.0, 0.3, 0.8):
+        g = random_graph(n, p, rng)
+        orders = [[], list(range(n)), np.arange(n), rng.permutation(n),
+                  list(rng.permutation(n)), [int(t) for t in rng.permutation(n)]]
+        if n:
+            orders += [[n - 1], [np.int64(n // 2)],
+                       [int(t) for t in rng.choice(n, max(1, n // 2), replace=False)],
+                       rng.choice(n, max(1, n - 1), replace=False)]
+        for order in orders:
+            ref = reference_induced(g, order)
+            assert _reordered(g.rows, [int(v) for v in order]) == ref.rows
+            assert g.induced(order) == ref
+
+
+def test_relabel_round_trip():
+    rng = np.random.default_rng(29)
+    for n in (0, 1, 8, 64, 65, 130):
+        g = random_graph(n, 0.4, rng)
+        perm = rng.permutation(n)
+        inverse = np.argsort(perm)
+        h = g.relabel(perm)
+        assert all(h.has_edge(int(perm[i]), int(perm[j])) for i, j in g.edges())
+        assert h.edge_count == g.edge_count
+        assert h.relabel(inverse).rows == g.rows
 
 
 # ---------------------------------------------------------------------

@@ -7,13 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spexlab.graphs import complete_graph, cycle_graph, make_multipartite, turan, y_graph
+from spexlab.graphs import cycle_graph, make_multipartite, turan, y_graph
 from spexlab.quotient import (
     EquitabilityError,
     IntMatrix,
     IntPoly,
     NoRealRootError,
-    adjacency_int_matrix,
     char_poly,
     det_exact,
     equitable_refine,
@@ -79,7 +78,7 @@ def test_quotient_matrix_rejects_non_equitable():
 def test_char_poly_small():
     assert char_poly(IntMatrix.of([[0, 1], [1, 0]])).coeffs == (-1, 0, 1)
     assert char_poly(IntMatrix.of([[0, 3], [2, 0]])).coeffs == (-6, 0, 1)
-    assert char_poly(adjacency_int_matrix(complete_graph(3))).coeffs == (-2, -3, 0, 1)
+    assert char_poly(IntMatrix.of([[0, 1, 1], [1, 0, 1], [1, 1, 0]])).coeffs == (-2, -3, 0, 1)
 
 
 def test_char_poly_matches_determinant_evaluations():

@@ -25,11 +25,12 @@ from spexlab.graphs import (
     y_graph,
     y_graph_layout,
 )
-from spexlab.random_graphs import random_graph
-from spexlab.search import enumerate_graphs
+from spexlab.random_graphs import random_graph, random_multipartite
+from spexlab.search import _census_cached, enumerate_graphs
 from spexlab.structure import (
     FeasibilityError,
     Partition,
+    _contract_twins,
     _dsatur,
     chromatic_number,
     contains_clique,
@@ -76,6 +77,21 @@ def test_witness_is_always_proper():
                 assert max(colors, default=0) < r
                 for i, j in g.edges():
                     assert colors[i] != colors[j]
+
+
+def test_one_twin_contraction_leaves_no_twins():
+    rng = np.random.default_rng(8)
+    graphs = list(_census_cached(7, (None, None)))
+    graphs += [random_graph(int(rng.integers(1, 15)), float(rng.uniform(0.05, 0.95)), rng)
+               for _ in range(150)]
+    graphs += [random_multipartite(int(rng.integers(2, 15)), 3, float(rng.choice([0.9, 1.0])), rng)
+               for _ in range(150)]  # p = 1 makes every class one twin class
+    for g in graphs:
+        h, members = _contract_twins(g)
+        assert _contract_twins(h)[0] is h
+        assert sorted(v for grp in members for v in grp) == list(range(g.n))
+        assert all(len({g.rows[v] for v in grp}) == 1 for grp in members)
+        assert h == g.induced([grp[0] for grp in members])
 
 
 def test_chromatic_number_knowns():
