@@ -8,6 +8,7 @@ mutates a Graph after creation, so graphs are safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -111,14 +112,14 @@ class Graph:
         return self.induced(keep)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
-        vs = [int(v) for v in vertices]  # numpy ints would overflow the shifts
+        vs = [operator.index(v) for v in vertices]  # no floats; numpy ints become int
         if len(set(vs)) != len(vs) or (vs and not (0 <= min(vs) and max(vs) < self.n)):
             raise ValueError(f"induced vertices must be distinct and lie in 0..{self.n - 1}")
         return Graph._unchecked(len(vs), _reordered(self.rows, vs))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """New graph where old vertex v becomes perm[v]."""
-        p = [int(t) for t in perm]
+        p = [operator.index(t) for t in perm]
         if sorted(p) != list(range(self.n)):
             raise ValueError(f"relabel needs a permutation of range({self.n})")
         order = [0] * self.n

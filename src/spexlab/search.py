@@ -514,18 +514,18 @@ def lemma27_scan(r: int, n: int, unique_margin: float = 1e-9) -> FamilyScanRepor
         raise ValueError("need r >= 2")
     if n < 2 * r:
         raise ValueError("need n >= 2r")
-    scanned = sum(1 for _ in _family_configs(r, n))  # meets the guard before any eigensolve
+    configs = list(_family_configs(r, n))  # meets the guard before any eigensolve
     y_key = _family_y_key(r, n)
     c = _family_cell_adjacency(r)
     radii = []
-    for sizes, ia, ib in _family_configs(r, n):
+    for sizes, ia, ib in configs:
         is_y = (sizes, (sizes[ib], sizes[ia])) == y_key
         radii.append((_cell_graph_rho(c, _family_cell_sizes(sizes, ia, ib)), is_y))
     best_rho, best_is_y = max(radii, key=lambda t: t[0])  # ties go to the first configuration
     others = [rho for rho, is_y in radii if not is_y]
     gap = best_rho - max(others) if others else None
     unique = best_is_y and (gap is None or gap > unique_margin)
-    return FamilyScanReport(r, n, best_rho, best_is_y, scanned, gap, unique)
+    return FamilyScanReport(r, n, best_rho, best_is_y, len(configs), gap, unique)
 
 
 # ---------------------------------------------------------------------

@@ -6,7 +6,8 @@ search keeps its own stack, so its depth is not bounded by recursion: paths
 and cycles of thousands of vertices colour in well under a second, while its
 worst case stays exponential (dense graphs of a few dozen vertices). Twins
 (vertices with identical neighbourhoods) are merged once before colouring.
-The bitset clique machinery is meant for a few thousand vertices.
+The clique/book search keeps its own stack too, so r is not bounded by
+recursion; its bitset rows are meant for a few thousand vertices.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 from .graphs import Graph, _reordered, bits, mask_of
@@ -114,26 +116,49 @@ def degeneracy_order(g: Graph) -> list[int]:
     return order
 
 
+def _find_clique(
+    rows: Sequence[int], order: Sequence[int], r: int, k: int
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """The first r-clique (r >= 2) whose common neighbourhood has at least k
+    vertices, as ``(clique, common mask)``, or None. Roots come in ``order``;
+    a root's clique grows only from its neighbours later in ``order``, lowest
+    index first. A branch stops once its candidates cannot fill the clique.
+    """
+    cand = [0] * r  # cand[d]: vertices that may extend clique[:d]
+    common = [0] * r  # common[d]: common neighbours of clique[:d]
+    clique = [0] * r
+    later = (1 << len(rows)) - 1
+    for i, v in enumerate(order):
+        if len(order) - i < r:
+            break
+        later ^= 1 << v
+        clique[0] = v
+        common[1] = rows[v]
+        cand[1] = common[1] & later
+        d = 1
+        while d:
+            c = cand[d]
+            if c.bit_count() < r - d:
+                d -= 1
+                continue
+            b = c & -c
+            w = b.bit_length() - 1
+            cand[d] = c ^ b
+            clique[d] = w
+            shared = common[d] & rows[w]
+            if d + 1 < r:
+                d += 1
+                cand[d], common[d] = c & shared, shared  # c lies inside common[d]
+            elif shared.bit_count() >= k:
+                return tuple(clique), shared
+    return None
+
+
 def contains_clique(g: Graph, q: int) -> bool:
     """True iff g has a clique on q vertices (subgraph containment)."""
     if q <= 1:
         return q <= 0 or g.n >= 1
-    rows = g.rows
-
-    def rec(cand: int, depth: int) -> bool:
-        if depth == q:
-            return True
-        while cand:
-            if depth + cand.bit_count() < q:
-                return False
-            b = cand & -cand
-            v = b.bit_length() - 1
-            cand ^= b
-            if rec(cand & rows[v], depth + 1):
-                return True
-        return False
-
-    return rec((1 << g.n) - 1, 0)
+    return _find_clique(g.rows, range(g.n), q, 0) is not None
 
 
 def greedy_clique(g: Graph) -> tuple[int, ...]:
@@ -156,7 +181,7 @@ def contains_generalized_book(
 
     That is exactly subgraph containment of the generalized book (K_r joined
     to k independent vertices): any k common neighbours of an r-clique carry
-    the required pages. The witness lists the clique then k pages.
+    the required pages. The witness lists the clique then k pages, ascending.
     """
     if r < 2:
         raise ValueError("need r >= 2")
@@ -164,41 +189,10 @@ def contains_generalized_book(
         raise ValueError("need k >= 1")
     if g.n < r + k:
         return False, None
-    rows = g.rows
-    order = degeneracy_order(g)
-    rank = [0] * g.n
-    for pos, v in enumerate(order):
-        rank[v] = pos
-    later = [mask_of(w for w in range(g.n) if rank[w] > rank[v]) for v in range(g.n)]
-    found: Optional[tuple[int, ...]] = None
-
-    def rec(clique: list[int], cand: int, common: int) -> bool:
-        nonlocal found
-        if len(clique) == r:
-            if common.bit_count() >= k:
-                pages = []
-                for w in bits(common):
-                    pages.append(w)
-                    if len(pages) == k:
-                        break
-                found = tuple(clique) + tuple(pages)
-                return True
-            return False
-        need = r - len(clique)
-        while cand:
-            if cand.bit_count() < need:
-                return False
-            b = cand & -cand
-            v = b.bit_length() - 1
-            cand ^= b
-            if rec(clique + [v], cand & rows[v], common & rows[v]):
-                return True
-        return False
-
-    for v in order:
-        if rec([v], rows[v] & later[v], rows[v]):
-            return True, found
-    return False, None
+    found = _find_clique(g.rows, degeneracy_order(g), r, k)
+    if found is None:
+        return False, None
+    return True, found[0] + tuple(islice(bits(found[1]), k))
 
 
 # ---------------------------------------------------------------------

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from spexlab.cli import main
-from spexlab.graphs import cycle_graph, graph6_decode, graph6_encode, path_graph, turan, y_graph
+from spexlab.graphs import (
+    complete_graph,
+    cycle_graph,
+    graph6_decode,
+    graph6_encode,
+    path_graph,
+    turan,
+    y_graph,
+)
 from spexlab.random_graphs import random_graph
 from spexlab.search import canonical_graph6
 
@@ -153,6 +161,15 @@ def test_check_color_critical_on_a_long_odd_cycle(capsys, monkeypatch):
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert doc["color_critical"] is True and doc["critical_edge"] == [0, 1]
+
+
+def test_check_book_on_a_large_clique(capsys, monkeypatch):
+    # the clique search keeps its own stack, so r is not bounded by recursion
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(complete_graph(1010)) + "\n"))
+    code, out, err = run(capsys, "check", "--in", "-", "--book", "1000,5")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["contains_book"] is True and doc["book_witness"] == list(range(1005))
 
 
 def test_search_json_and_csv(capsys):

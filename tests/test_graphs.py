@@ -357,6 +357,13 @@ def test_derived_graph_argument_checks(op, message):
         op(path_graph(5))
 
 
+def test_induced_and_relabel_reject_float_vertices():
+    with pytest.raises(TypeError):
+        path_graph(4).induced([1.7, 2.2])
+    with pytest.raises(TypeError):
+        path_graph(4).relabel([0.5, 1, 2, 3])
+
+
 def test_derived_graphs_stay_simple():
     rng = np.random.default_rng(17)
     for _ in range(30):

@@ -1,10 +1,12 @@
 """Exact predicates: colouring, book containment vs a naive subgraph
 isomorphism oracle, colour-criticality, partitions, degree classes."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,9 +34,11 @@ from spexlab.structure import (
     Partition,
     _contract_twins,
     _dsatur,
+    _find_clique,
     chromatic_number,
     contains_clique,
     contains_generalized_book,
+    degeneracy_order,
     degree_classes,
     is_color_critical,
     is_complete_bipartite,
@@ -174,6 +178,64 @@ def test_book_monotone_in_k():
             flags = [contains_generalized_book(g, r, k)[0] for k in (1, 2, 3)]
             for a, b in zip(flags, flags[1:]):
                 assert a or not b  # k+1 implies k
+
+
+def test_clique_matches_networkx():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        g = random_graph(int(rng.integers(0, 41)), float(rng.uniform(0.05, 0.9)), rng)
+        nxg = nx.empty_graph(g.n)
+        nxg.add_edges_from(g.edges())
+        omega = max((len(c) for c in nx.find_cliques(nxg)), default=0)
+        for q in range(1, omega + 2):
+            assert contains_clique(g, q) == (omega >= q), (g.rows, q)
+
+
+def test_book_witnesses_are_pinned():
+    # roots in degeneracy order, each clique grown from later neighbours by
+    # lowest index, pages the k lowest common neighbours
+    rng = np.random.default_rng(43)
+    digest = hashlib.sha256()
+    for _ in range(150):
+        g = random_graph(int(rng.integers(0, 25)), float(rng.uniform(0.2, 0.9)), rng)
+        for r, k in [(2, 2), (3, 2), (4, 1)]:
+            digest.update(repr(contains_generalized_book(g, r, k)).encode())
+    assert digest.hexdigest() == "8e0ec29e8f82f44596e41e71347820eb799bdfb5fbe6d4633f08c03594c4b0e3"
+
+
+class CountingRows(tuple):
+    """Bitset rows that count how often the search reads one."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return tuple.__getitem__(self, v)
+
+
+def test_clique_search_forms_each_clique_once():
+    # each row read extends one clique, and a clique is only ever grown from
+    # its first vertex in the order, so no clique is formed twice
+    rng = np.random.default_rng(47)
+    graphs = [turan(3, 9), turan(4, 12), y_graph(3, 12), complete_graph(6)]
+    graphs += [random_graph(int(rng.integers(4, 16)), float(rng.uniform(0.3, 0.9)), rng)
+               for _ in range(60)]
+    for g in graphs:
+        nxg = nx.empty_graph(g.n)
+        nxg.add_edges_from(g.edges())
+        for r in (3, 4, 5):
+            cliques = sum(1 for c in nx.enumerate_all_cliques(nxg) if len(c) <= r)
+            for order, k in [(range(g.n), 0), (degeneracy_order(g), 2)]:
+                rows = CountingRows(g.rows)
+                _find_clique(rows, order, r, k)
+                assert rows.reads <= cliques, (g.rows, r, k)
+
+
+def test_deep_cliques_need_no_recursion():
+    g = complete_graph(1010)
+    assert contains_clique(g, 1005) and not contains_clique(g, 1011)
+    has, witness = contains_generalized_book(g, 1000, 5)
+    assert has and witness == tuple(range(1005))
 
 
 def test_color_critical():
