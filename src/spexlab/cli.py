@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 a verification subcommand found a failure, 2 usage
 or input error (bad flags, missing file, malformed graph6 line), 3 internal
 failure (power iteration on a component above 64 vertices did not converge, a
 recursion ran too deep, an arithmetic fault or any other unexpected exception),
-reported as one line on stderr.
+reported as one line on stderr. A reader that closes stdout early (`| head`)
+ends the run quietly with 0: the rest of the output is dropped.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -344,7 +346,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         "scan": _cmd_scan,
     }[args.subcommand]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader stopped early (`| head`): a quiet success
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (_InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,7 @@ from .graphs import Graph, _reordered, bits, graph6_encode, u_graph, y_graph_lay
 from .spectral import TIE_TOL, rotate_edges, spectral_radius
 from .structure import (
     FeasibilityError,
+    chromatic_number,
     color_refine,
     contains_clique,
     contains_generalized_book,
@@ -649,14 +650,12 @@ def census_rows(n: int) -> Iterator[dict]:
     """Full-census dump rows: one dict per isomorphism class of order n with
     its graph6 string, order, size, spectral radius, chromatic number, and
     connectivity/bipartiteness flags."""
-    from .structure import chromatic_number
-
-    for g in enumerate_graphs(n):
+    for g, m in _census_sweep(n, n, (None, None)):
         chi = chromatic_number(g)
         yield {
             "graph6": graph6_encode(g),
             "n": g.n,
-            "m": g.edge_count,
+            "m": m,
             "rho": _rho(g),
             "chi": chi,
             "connected": g.is_connected(),
@@ -682,52 +681,44 @@ def write_census(n: int, g6_path, csv_path) -> int:
     return count
 
 
+def _census_sweep(lo: int, max_n: int, prune_key) -> Iterator[tuple[Graph, int]]:
+    """Every published class of order lo..max_n under ``prune_key``, with its edge count."""
+    for n in range(lo, max_n + 1):
+        for g in _published_census(n, prune_key):
+            yield g, g.edge_count
+
+
 def _scan_nosal(max_n: int, k: int, tol: float) -> ConjectureScanReport:
-    violations = []
-    witnesses = []
-    all_cb = True
+    violations, witnesses = [], []
     scanned = 0
-    prune = PredicateSpec(forbid_book=(2, k)).prune_key()
-    for n in range(1, max_n + 1):
-        for g in _published_census(n, prune):
-            scanned += 1
-            m = g.edge_count
-            rho = spectral_radius(g).rho
-            bound = math.sqrt(m)
-            if rho > bound + tol:
-                violations.append(
-                    {"graph6": graph6_encode(g), "rho": rho, "bound": bound}
-                )
-            elif abs(rho - bound) <= tol:
-                witnesses.append(graph6_encode(g))
-                if not is_complete_bipartite(g, ignore_isolated=True):
-                    all_cb = False
+    for g, m in _census_sweep(1, max_n, PredicateSpec(forbid_book=(2, k)).prune_key()):
+        scanned += 1
+        rho, bound = _rho(g), math.sqrt(m)
+        if rho > bound + tol:
+            violations.append({"graph6": graph6_encode(g), "rho": rho, "bound": bound})
+        elif abs(rho - bound) <= tol:
+            witnesses.append(g)
     return ConjectureScanReport(
         kind="nosal_book",
         params={"max_n": max_n, "k": k},
         scanned=scanned,
         violations=tuple(violations),
-        equality_witnesses=tuple(witnesses),
-        witnesses_all_complete_bipartite=all_cb,
+        equality_witnesses=tuple(graph6_encode(g) for g in witnesses),
+        witnesses_all_complete_bipartite=all(is_complete_bipartite(g) for g in witnesses),
     )
 
 
 def _scan_liu_miao(max_n: int, tol: float) -> ConjectureScanReport:
     by_m: dict[int, tuple[float, Graph]] = {}
     scanned = 0
-    prune = PredicateSpec(forbid_book=(2, 2)).prune_key()
-    for n in range(3, max_n + 1):
-        for g in _published_census(n, prune):
-            if is_r_colorable(g, 2)[0]:
-                continue
-            scanned += 1
-            rho = spectral_radius(g).rho
-            m = g.edge_count
-            cur = by_m.get(m)
-            if cur is None or rho > cur[0]:
-                by_m[m] = (rho, g)
-    champions = []
-    violations = []
+    for g, m in _census_sweep(3, max_n, PredicateSpec(forbid_book=(2, 2)).prune_key()):
+        if is_r_colorable(g, 2)[0]:
+            continue
+        scanned += 1
+        rho = _rho(g)
+        if m not in by_m or rho > by_m[m][0]:
+            by_m[m] = (rho, g)
+    champions, violations = [], []
     for m in sorted(by_m):
         rho, g = by_m[m]
         u = u_graph(m)
@@ -753,19 +744,12 @@ def _scan_liu_miao(max_n: int, tol: float) -> ConjectureScanReport:
 
 
 def _scan_sqrt_2m(max_n: int, r: int, k: int, tol: float) -> ConjectureScanReport:
-    violations = []
-    scanned = 0
-    prune = PredicateSpec(forbid_book=(r, k)).prune_key()
-    for n in range(1, max_n + 1):
-        for g in _published_census(n, prune):
-            scanned += 1
-            m = g.edge_count
-            rho = spectral_radius(g).rho
-            bound = math.sqrt((1.0 - 1.0 / r) * 2.0 * m)
-            if rho > bound + tol:
-                violations.append(
-                    {"graph6": graph6_encode(g), "rho": rho, "bound": bound, "m": m}
-                )
+    violations, scanned = [], 0
+    for g, m in _census_sweep(1, max_n, PredicateSpec(forbid_book=(r, k)).prune_key()):
+        scanned += 1
+        rho, bound = _rho(g), math.sqrt((1.0 - 1.0 / r) * 2.0 * m)
+        if rho > bound + tol:
+            violations.append({"graph6": graph6_encode(g), "rho": rho, "bound": bound, "m": m})
     return ConjectureScanReport(
         kind="sqrt_2m_bound",
         params={"max_n": max_n, "r": r, "k": k},

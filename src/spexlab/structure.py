@@ -12,9 +12,9 @@ recursion; its bitset rows are meant for a few thousand vertices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from typing import Optional, Sequence, Union
 
@@ -310,7 +310,13 @@ def _dsatur(rows: Sequence[int], r: int) -> tuple[Optional[list[int]], int]:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number (exponential worst case; fine to a few dozen vertices)."""
+    """Exact chromatic number (exponential worst case; fine to a few dozen vertices).
+    The last graph's value is kept: ``is_color_critical`` after it colours once."""
+    return _chromatic_number(g)
+
+
+@lru_cache(maxsize=1)
+def _chromatic_number(g: Graph) -> int:
     if g.n == 0:
         return 0
     h, _ = _contract_twins(g)
@@ -479,39 +485,29 @@ def degree_classes(g: Graph, partition: Partition, eps) -> DegreeClasses:
     """Classify vertices against the thresholds 3 sqrt(eps) n (internal degree,
     class W) and (1 - 1/r - 5 sqrt(eps)) n (total degree, class L).
 
-    Comparisons are inclusive. A Fraction eps is evaluated exactly (squared
-    comparisons in rational arithmetic); a float eps uses float thresholds.
+    Comparisons are inclusive and exact, squared in rational arithmetic. A float
+    eps is read as the decimal it prints as: 0.01 is 1/100, not its binary value
+    just above. The result keeps ``eps`` as given, a Fraction or a float.
     """
-    if isinstance(eps, Fraction):
-        exact = True
-        if not 0 < eps < 1:
-            raise ValueError("eps must lie strictly between 0 and 1")
-    else:
-        exact = False
+    if not isinstance(eps, Fraction):
         eps = float(eps)
-        if not 0.0 < eps < 1.0:
-            raise ValueError("eps must lie strictly between 0 and 1")
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie strictly between 0 and 1")
+    q = Fraction(str(eps))  # str of a float is its shortest round-trip decimal
     partition.validate(g.n, allow_empty=True)
     r = partition.r
     n = g.n
+    w_min, l_min = 9 * q * n * n, 25 * q * n * n  # (3 sqrt(eps) n)^2, (5 sqrt(eps) n)^2
     masks = partition.masks()
     w_cells, l_cells = [], []
     for i, cell in enumerate(partition.cells):
         w_i, l_i = [], []
         for v in cell:
             d_in = (g.rows[v] & masks[i]).bit_count()
-            d = g.rows[v].bit_count()
-            if exact:
-                in_w = d_in * d_in >= 9 * eps * n * n
-                slack = Fraction(n) - Fraction(n, r) - d  # (1 - 1/r) n - d
-                in_l = slack >= 0 and slack * slack >= 25 * eps * n * n
-            else:
-                root = math.sqrt(eps)
-                in_w = d_in >= 3.0 * root * n
-                in_l = d <= (1.0 - 1.0 / r - 5.0 * root) * n
-            if in_w:
+            slack = n - Fraction(n, r) - g.rows[v].bit_count()  # (1 - 1/r) n - d
+            if d_in * d_in >= w_min:
                 w_i.append(v)
-            if in_l:
+            if slack >= 0 and slack * slack >= l_min:
                 l_i.append(v)
         w_cells.append(tuple(w_i))
         l_cells.append(tuple(l_i))

@@ -1,7 +1,11 @@
 """End-to-end command-line behaviour: formats, pipes, and exit codes."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +145,45 @@ def test_check_bytes(capsys, monkeypatch):
                        "--chromatic", "--color-critical")
     assert code == 0
     assert out == CHECK_PIN
+
+
+def test_check_colours_each_graph_once_for_chromatic_and_criticality(capsys, monkeypatch):
+    # is_color_critical reuses the chromatic number that --chromatic computed
+    import spexlab.structure as structure_mod
+
+    rng = np.random.default_rng(4)
+    lines = "".join(graph6_encode(random_graph(int(rng.integers(10, 25)), 0.3, rng)) + "\n"
+                    for _ in range(6))
+    real = structure_mod._dsatur
+    calls = []
+    monkeypatch.setattr(structure_mod, "_dsatur", lambda rows, r: calls.append(r) or real(rows, r))
+
+    def dsatur_calls(*flags):
+        structure_mod._chromatic_number.cache_clear()
+        calls.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        assert run(capsys, "check", "--in", "-", *flags)[0] == 0
+        return len(calls)
+
+    assert dsatur_calls("--chromatic") > 0
+    assert dsatur_calls("--chromatic", "--color-critical") == dsatur_calls("--color-critical")
+
+
+def test_closed_stdout_is_a_quiet_success(tmp_path):
+    # `spexlab construct ... | head -c 10`: the 750 kB graph6 line of K_3000
+    # overflows the pipe, so the write fails once the reader has gone
+    import spexlab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spexlab.__file__)))
+    with open(tmp_path / "err", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from spexlab.cli import main; sys.exit(main())",
+             "construct", "--family", "complete", "--n", "3000"],
+            stdout=subprocess.PIPE, stderr=err, env=env)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+    assert (tmp_path / "err").read_bytes() == b""
 
 
 def test_check_rpartite_on_a_long_path(capsys, monkeypatch):
@@ -377,6 +420,18 @@ def test_scan_bytes(capsys):
         ', "E@L?", "E?Bw", "E?\\\\o", "E?~o", "EFz_", "ELv_"]'
         ', "witnesses_all_complete_bipartite": false, "per_edge_champions": []}\n'
     )
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["liu_miao_U", "--max-n", "7"],
+     "7957d71f43142633a942e36846ca42c3718dfc3df6471afef8690c2b609fc79a"),
+    (["sqrt_2m_bound", "--max-n", "7", "--r", "3", "--k", "1"],
+     "91fe1b76703374bdc1eb7f72202ee89ee64e1e80fce67df12cc74cbdcfdc37a7"),
+], ids=["liu_miao_U", "sqrt_2m_bound"])
+def test_scan_digests(capsys, argv, digest):
+    # sha256 of the whole stdout of the other two scans over the census sweep
+    code, out, _ = run(capsys, "scan", "--kind", *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_search_spex_order_zero(capsys):

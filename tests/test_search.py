@@ -204,6 +204,29 @@ def test_census_dump(tmp_path):
     assert len(rows) == 35
 
 
+# sha256 of the graph6 file followed by the CSV file that write_census(n)
+# writes; the dump shares the census sweep with the conjecture scans
+CENSUS_DUMP_PINS = {
+    0: "f1e17e5522444ba14a5a458690cc824d576943492e4085cad9234110fce76841",
+    1: "161660361df6437f3f419ca4e0c8fe7a9422a624a6f2ad04c1911bd4459a5068",
+    2: "c4722a49f3bd52470c6bcfa3834cfe41c5f0b571215f5325c40c04cfca2616b6",
+    3: "7cd0968f3d6f41b900eadf2a66e297deea0ea6248a83e561e6897a46088ba7ef",
+    4: "0f482637726a6000ca50d3a103fa272069a7f9ee1e1023e6215298527bb827e5",
+    5: "89899f50816b3f5688d1187daf0e0a48fac45869e74fdbf2b268c94fca5ce0ae",
+    6: "58fedc90e7376c5f5e5522093f0666fb64e3649b4f6107da05988080d8cc5c90",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CENSUS_DUMP_PINS))
+def test_census_dump_bytes(tmp_path, n):
+    from spexlab.search import write_census
+
+    g6, cs = tmp_path / "census.g6", tmp_path / "census.csv"
+    write_census(n, g6, cs)
+    digest = hashlib.sha256(g6.read_bytes() + cs.read_bytes()).hexdigest()
+    assert digest == CENSUS_DUMP_PINS[n]
+
+
 def test_enumeration_guard():
     with pytest.raises(FeasibilityError):
         list(enumerate_graphs(11))

@@ -17,6 +17,7 @@ from spexlab.graphs import (
     bits,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     empty_graph,
     from_edges,
     generalized_book,
@@ -477,6 +478,22 @@ def test_degree_classes_exact_rational_matches_float():
         assert a.w == b.w and a.l == b.l
     with pytest.raises(ValueError):
         degree_classes(g, part, 0.0)
+
+
+def test_degree_classes_inclusive_at_exact_boundaries():
+    # K4 plus 6 isolated vertices, r = 2, n = 10, eps = 1/100: the K4 vertices
+    # have internal degree 3 = 3 sqrt(eps) n, and the isolated ones total
+    # degree 0 = (1 - 1/2 - 5 sqrt(eps)) n, so both classes hit their threshold
+    g = disjoint_union(complete_graph(4), empty_graph(6))
+    part = Partition.of([range(4), range(4, 10)])
+    for eps in (0.01, Fraction(1, 100)):
+        dc = degree_classes(g, part, eps)
+        assert dc.w == frozenset(range(4)), eps
+        assert dc.l == frozenset(range(4, 10)), eps
+    # a float is read as the decimal it prints as, not as its binary value,
+    # which lies just above 1/100 and misses both boundaries
+    dc = degree_classes(g, part, Fraction(0.01))
+    assert dc.w == dc.l == frozenset()
 
 
 def test_partition_validation():
