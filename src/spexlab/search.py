@@ -13,6 +13,12 @@ each new vertex appends its adjacency to the previous ones), found by a
 branch-and-bound that prunes by prefix dominance against the best string found
 and by twin-class symmetry. It is computed only where a graph is printed.
 
+The enumeration adds one edge at a time and certifies a child only when the
+added edge maximises an isomorphism-invariant edge key (degree sum, smaller
+degree, common neighbours) among the child's edges. Every class still arises
+this way, from the deletion of one of its maximising edges; at order 8 about
+1.7 children per class are certified instead of 12.
+
 The construction-family scan needs neither labelling: it works from part sizes
 alone, taking each radius from a weighted (r+3)-cell graph, and builds no graph.
 """
@@ -23,7 +29,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -207,13 +213,39 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # ---------------------------------------------------------------------
 
 
+def _edge_key(rows: Sequence[int], deg: list[int], u: int, v: int) -> tuple[int, int, int]:
+    """(deg u + deg v, min degree, common neighbours): isomorphism-invariant."""
+    return (deg[u] + deg[v], min(deg[u], deg[v]), (rows[u] & rows[v]).bit_count())
+
+
+def _is_max_edge(rows: Sequence[int], i: int, j: int) -> bool:
+    """Whether edge ij maximises ``_edge_key`` among the edges of ``rows``."""
+    deg = [r.bit_count() for r in rows]
+    key = _edge_key(rows, deg, i, j)
+    top = key[0]
+    for u, row in enumerate(rows):
+        for v in bits(row >> (u + 1)):
+            v += u + 1
+            if deg[u] + deg[v] >= top and _edge_key(rows, deg, u, v) > key:
+                return False
+    return True
+
+
 def _orderly_levels(n: int, keep: Callable[[Graph], bool]) -> Iterator[Graph]:
     """Orderly generation by edge augmentation: every class with m edges
-    arises from a class with m-1 edges plus one edge. Children are deduped by
+    arises from a class with m-1 edges plus one edge. A child G + ij is a
+    candidate only if ij maximises ``_edge_key`` among its edges (the cheap
+    half of McKay's canonical deletion, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998); candidates that pass ``keep`` are deduped by
     canonical certificate, whose rows then represent the class and parent the
-    next level; levels come in ascending edge count. ``keep`` must be closed
-    under edge deletion; it prunes whole subtrees without losing any graph
-    that satisfies it."""
+    next level. Levels come in ascending edge count.
+
+    ``keep`` must be closed under edge deletion; it prunes whole subtrees
+    without losing any graph that satisfies it. No class is lost to the
+    filter either: take a kept H with m >= 1 edges and an edge e maximising
+    the key in H. H - e is kept, so level m-1 holds its representative
+    P = s(H - e) for a relabelling s, and the child P + s(e) = s(H) passes
+    the filter because the key is isomorphism-invariant."""
     start = Graph._unchecked(n, tuple([0] * n))
     if not keep(start):
         return
@@ -223,13 +255,18 @@ def _orderly_levels(n: int, keep: Callable[[Graph], bool]) -> Iterator[Graph]:
     while level:
         candidates: set[tuple[int, ...]] = set()
         for rows in level:
+            deg = [r.bit_count() for r in rows]
+            # adding ij lowers no degree sum, so a parent edge whose sum already
+            # exceeds ij's sum in the child rules ij out
+            floor = max((deg[u] + deg[v] for u, v in pairs if (rows[u] >> v) & 1), default=0) - 2
             for i, j in pairs:
-                if (rows[i] >> j) & 1:
+                if (rows[i] >> j) & 1 or deg[i] + deg[j] < floor:
                     continue
                 cand_rows = list(rows)
                 cand_rows[i] |= 1 << j
                 cand_rows[j] |= 1 << i
-                candidates.add(tuple(cand_rows))
+                if _is_max_edge(cand_rows, i, j):
+                    candidates.add(tuple(cand_rows))
         level = set()
         for cand_rows in candidates:
             cand = Graph._unchecked(n, cand_rows)

@@ -113,11 +113,56 @@ def test_canonical_form_is_an_invariant():
 
 
 def test_canonical_forms_of_the_order7_census_are_pinned():
-    # the published representatives of all 1,044 classes, pinned
+    # the published representatives of all 1,044 classes, pinned as a sorted
+    # list: the order in which the census holds its classes is not a contract
     census = _census_cached(7, (None, None))
-    rows = repr([canonical_form(g).rows for g in census]).encode()
+    rows = repr(sorted(canonical_form(g).rows for g in census)).encode()
     assert hashlib.sha256(rows).hexdigest() == (
-        "09b63b1cdfcb98ca52237ae21429a7673b6a7aae89d6bf0cb81eff246a981a0e")
+        "7bcd025c566b00384b92521209eeccdfbc8e8661610d15dbd5366676828166f0")
+
+
+@pytest.mark.parametrize("n, prune_key, count, digest", [
+    (8, (4, None), 6431, "d0d1022e8a18fcceac41c8157fec6b5c91ef81b328e42eed2f3ee3e7487489be"),
+    (8, (3, None), 410, "ad73fdbe3ef61ab791e83c3bac393787da23d9ef7215284f34d9275bbc64c289"),
+    (7, (None, (3, 2)), 855, "e052e1e542a0e42aa5155d6e131502fabe3081e6b0aa8f7312ef494d41115fd9"),
+    (7, (None, None), 1044, "8ffd270f3d7086cc9443187c79238e1a3a74b35a66f87635a75e36f1fe425881"),
+])
+def test_census_certificate_rows_are_pinned(n, prune_key, count, digest):
+    # the certificate rows of every class, sorted, so the pin does not depend
+    # on the order in which the census holds its classes
+    census = _census_cached(n, prune_key)
+    assert len(census) == count
+    rows = repr(sorted(g.rows for g in census)).encode()
+    assert hashlib.sha256(rows).hexdigest() == digest
+
+
+def test_census_certifies_under_two_children_per_class(monkeypatch):
+    # the edge-key filter certifies about 1.7 children per class at order 8;
+    # certifying every child that passes the predicate costs 12.1
+    calls = []
+    real = search.canonical_certificate
+    monkeypatch.setattr(search, "canonical_certificate", lambda g: calls.append(g) or real(g))
+    _census_cached.cache_clear()
+    census = _census_cached(8, (4, None))
+    assert len(census) == 6431
+    assert len(calls) <= 2 * len(census)
+
+
+def test_edge_key_maximisers_are_invariant():
+    rng = np.random.default_rng(24)
+    for _ in range(80):
+        g = random_graph(int(rng.integers(2, 10)), float(rng.uniform(0.1, 0.9)), rng)
+        perm = [int(t) for t in rng.permutation(g.n)]
+        h = g.relabel(perm)
+        edges = list(g.edges())
+        deg = [r.bit_count() for r in g.rows]
+        top = max((search._edge_key(g.rows, deg, u, v) for u, v in edges), default=None)
+        best = {(u, v) for u, v in edges if search._is_max_edge(g.rows, u, v)}
+        assert best == {(u, v) for u, v in edges
+                        if search._edge_key(g.rows, deg, u, v) == top}
+        assert bool(best) == bool(edges)
+        moved = {tuple(sorted((perm[u], perm[v]))) for u, v in best}
+        assert moved == {(u, v) for u, v in h.edges() if search._is_max_edge(h.rows, u, v)}
 
 
 def test_census_counts_match_cycle_index():
