@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional
@@ -137,22 +138,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_graph_lines(infile: str):
-    """Yield (line_number, Graph); malformed lines abort with their number."""
-    if infile == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
-            with open(infile, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise _InputError(f"cannot read {infile}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            yield lineno, graph6_decode(line)
-        except Graph6ParseError as exc:
-            raise _InputError(f"line {lineno}: {exc}") from exc
+    """Yield (line_number, Graph), reading each line only once the previous
+    line's Graph was used; malformed lines abort with their number."""
+    # Lines end at "\n", "\r\n" or "\r" (sys.stdin splits at "\n" only). A file is
+    # read as Latin-1, one character per byte, so graph6_decode names a non-ASCII
+    # byte by its line and offset, as it does for stdin.
+    try:
+        with nullcontext(sys.stdin) if infile == "-" else open(infile, encoding="latin-1") as fh:
+            lines = (part for chunk in fh
+                     for part in chunk.removesuffix("\n").removesuffix("\r").split("\r"))
+            for lineno, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    yield lineno, graph6_decode(line)
+                except Graph6ParseError as exc:
+                    raise _InputError(f"line {lineno}: {exc}") from exc
+    except OSError as exc:
+        raise _InputError(f"cannot read {infile}: {exc}") from exc
 
 
 class _InputError(Exception):
@@ -160,8 +163,9 @@ class _InputError(Exception):
 
 
 def _emit(doc: dict) -> None:
-    """One strict JSON line on stdout (no NaN or Infinity)."""
-    print(json.dumps(doc, allow_nan=False))
+    """One strict JSON line on stdout (no NaN or Infinity), flushed, so a pipe
+    gets each input line's result before the next line is read."""
+    print(json.dumps(doc, allow_nan=False), flush=True)
 
 
 def _cmd_construct(args) -> int:

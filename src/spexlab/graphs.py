@@ -9,6 +9,7 @@ mutates a Graph after creation, so graphs are safe to share across threads.
 from __future__ import annotations
 
 import operator
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -76,14 +77,10 @@ class Graph:
         return tuple(bits(self.rows[v]))
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.n):
-            r = self.rows[i] >> (i + 1)
-            j = i + 1
-            while r:
-                if r & 1:
-                    yield (i, j)
-                r >>= 1
-                j += 1
+        """Edges ij with i < j, i ascending, then j."""
+        for i, r in enumerate(self.rows):
+            for j in bits(r >> (i + 1)):
+                yield (i, i + 1 + j)
 
     # -- derived graphs ------------------------------------------------
 
@@ -326,11 +323,7 @@ def y_graph_layout(r: int, n: int) -> YGraphLayout:
     if n < 2 * r:
         raise ValueError("need n >= 2r so both special parts have >= 2 vertices")
     sizes = turan_part_sizes(r, n)
-    blocks = []
-    start = 0
-    for p in sizes:
-        blocks.append(tuple(range(start, start + p)))
-        start += p
+    blocks = [tuple(range(end - p, end)) for p, end in zip(sizes, accumulate(sizes))]
     rem = n % r
     # t1: first part of the smaller size; t2: first larger part distinct from it
     t1, t2 = (0, 1) if rem == 0 else (rem, 0)
@@ -339,25 +332,44 @@ def y_graph_layout(r: int, n: int) -> YGraphLayout:
     return YGraphLayout(r, n, tuple(blocks), t1, t2, u, w, v)
 
 
+def _y_graph_cells(r: int, n: int) -> list[tuple[int, ...]]:
+    """The r + 3 independent cells of y_graph(r, n), in ``_family_pattern``'s
+    order: {u}, {v}, {w}, T1 - {v}, T2 - {u, w} (empty when |T2| = 2), then the
+    other parts in order."""
+    lay = y_graph_layout(r, n)
+    t1_rest = tuple(x for x in lay.parts[lay.t1] if x != lay.v)
+    t2_rest = tuple(x for x in lay.parts[lay.t2] if x not in (lay.u, lay.w))
+    others = [p for i, p in enumerate(lay.parts) if i not in (lay.t1, lay.t2)]
+    return [(lay.u,), (lay.v,), (lay.w,), t1_rest, t2_rest, *others]
+
+
+def _family_pattern(r: int) -> np.ndarray:
+    """The 0/1 adjacency C of the r + 3 independent cells of a construction-family
+    configuration: the new vertex u; v and w, the ends of the removed cross edge
+    in parts a and b; A' = part a - v; B' = part b - w; then the other parts in
+    slot order. Two cells are completely joined unless they are uA', uB', vw,
+    vA' or wB'. y_graph is the configuration with a = T1 and b = T2 - u."""
+    c = 1 - np.eye(r + 3, dtype=np.int64)
+    c[[0, 0, 1, 1, 2], [3, 4, 2, 3, 4]] = c[[3, 4, 2, 3, 4], [0, 0, 1, 1, 2]] = 0
+    return c
+
+
 def y_graph(r: int, n: int) -> Graph:
     """Balanced multipartite graph with one edge folded inside a largest part.
 
     Starting from turan(r, n): add the edge uw inside part t2, keep u adjacent
     in part t1 only to its first vertex v, and keep w adjacent to all of part
     t1 except v. Afterwards u and w share no neighbour in part t1 and the edge
-    count equals e(turan(r, n)) - floor(n/r) + 1.
+    count equals e(turan(r, n)) - floor(n/r) + 1. Built as the blow-up of
+    ``_family_pattern`` over ``_y_graph_cells``, with quotient C diag(sizes).
     """
-    lay = y_graph_layout(r, n)
-    rows = list(make_multipartite(tuple(len(b) for b in lay.parts)).rows)
-    u, w, v = lay.u, lay.w, lay.v
-    rows[u] |= 1 << w
-    rows[w] |= 1 << u
-    for x in lay.parts[lay.t1]:
-        if x != v:
-            rows[u] &= ~(1 << x)
-            rows[x] &= ~(1 << u)
-    rows[w] &= ~(1 << v)
-    rows[v] &= ~(1 << w)
+    cells = _y_graph_cells(r, n)
+    masks = [mask_of(c) for c in cells]
+    rows = [0] * n
+    for cell, joined in zip(cells, _family_pattern(r).tolist()):
+        row = sum(m for m, j in zip(masks, joined) if j)  # the cells are disjoint
+        for x in cell:
+            rows[x] = row
     return Graph._unchecked(n, tuple(rows))
 
 

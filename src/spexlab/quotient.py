@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
-from .graphs import Graph, bits, y_graph, y_graph_layout
+from .graphs import Graph, _y_graph_cells, bits, y_graph
 from .spectral import spectral_radius
 from .structure import Partition, color_refine
 
@@ -295,22 +296,16 @@ def y_graph_quotient_partition(r: int, n: int) -> Partition:
     """The (r+3)-cell partition of y_graph(r, n):
     {v}, {u}, {w}, T1-{v}, T2-{u,w}, then each remaining part.
 
-    For r = 3 this needs n >= 9 so that every cell is non-empty; for r >= 4
-    the large part must have at least three vertices.
+    These are ``graphs._y_graph_cells`` with u and v swapped. For r = 3 this
+    needs n >= 9 so that every cell is non-empty; for r >= 4 the large part
+    must have at least three vertices.
     """
-    lay = y_graph_layout(r, n)
-    sizes = [len(b) for b in lay.parts]
+    u, v, w, t1_rest, t2_rest, *others = _y_graph_cells(r, n)
     if r == 3 and n < 9:
         raise ValueError("six-cell partition needs n >= 9 for r = 3")
-    if sizes[lay.t2] < 3 or sizes[lay.t1] < 2:
+    if not t2_rest or not t1_rest:
         raise ValueError("quotient partition needs a large part of size >= 3")
-    t1_rest = tuple(x for x in lay.parts[lay.t1] if x != lay.v)
-    t2_rest = tuple(x for x in lay.parts[lay.t2] if x not in (lay.u, lay.w))
-    cells = [(lay.v,), (lay.u,), (lay.w,), t1_rest, t2_rest]
-    for i, block in enumerate(lay.parts):
-        if i not in (lay.t1, lay.t2):
-            cells.append(block)
-    return Partition(tuple(cells))
+    return Partition((v, u, w, t1_rest, t2_rest, *others))
 
 
 def _scaled_coeffs_mod0(n: int) -> list[int]:
@@ -399,14 +394,8 @@ def verify_lemma32(n: int, tol: float = 1e-8) -> Lemma32Report:
     part = y_graph_quotient_partition(3, n)
     computed = char_poly(quotient_matrix(g, part)).scale(729)
     closed = lemma32_polynomial(n)
-    mismatch = None
-    if computed.coeffs != closed.coeffs:
-        for idx, (a, b) in enumerate(zip(computed.coeffs, closed.coeffs)):
-            if a != b:
-                mismatch = idx
-                break
-        else:
-            mismatch = min(len(computed.coeffs), len(closed.coeffs))
+    pairs = enumerate(zip_longest(computed.coeffs, closed.coeffs))
+    mismatch = next((idx for idx, (a, b) in pairs if a != b), None)  # None pads the shorter
     sign_ok = closed.sign_at(Fraction(2 * n, 3) - Fraction(7, 12)) < 0
     rho_q = largest_root(closed)
     rho_d = spectral_radius(g).rho

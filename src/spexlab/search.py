@@ -33,7 +33,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _reordered, bits, graph6_encode, u_graph, y_graph_layout
+from .graphs import Graph, _reordered, bits, graph6_encode, u_graph
+from .graphs import _family_pattern, _y_graph_cells
 from .spectral import TIE_TOL, rotate_edges, spectral_radius
 from .structure import (
     FeasibilityError,
@@ -48,6 +49,9 @@ from .structure import (
 
 ENUMERATION_HARD_GUARD = 10
 FAMILY_CONFIG_GUARD = 20_000
+# lex-min form: the slowest of 52 sampled sparse graphs per order took 0.3-0.6 s
+# at n = 12, 0.9-1.5 s at n = 13 (2-vCPU VM, two runs); the searches need n <= 10
+_CANONICAL_PERM_GUARD = 12
 
 
 # ---------------------------------------------------------------------
@@ -123,9 +127,12 @@ def canonical_perm(g: Graph) -> list[int]:
     by their adjacency block to the prefix, visited in ascending block order,
     pruned against the running best string (tracked with an equality flag so
     each comparison is O(1)) and deduplicated by twin classes (vertices with
-    identical open or closed neighbourhoods are interchangeable).
+    identical open or closed neighbourhoods are interchangeable). Raises
+    FeasibilityError above n = 12; ``canonical_certificate`` has no such guard.
     """
     n = g.n
+    if n > _CANONICAL_PERM_GUARD:
+        raise FeasibilityError(f"canonical form guard: n <= {_CANONICAL_PERM_GUARD}, got {n}")
     if n <= 1:
         return list(range(n))
     rows = g.rows
@@ -236,9 +243,9 @@ def _orderly_levels(n: int, keep: Callable[[Graph], bool]) -> Iterator[Graph]:
     arises from a class with m-1 edges plus one edge. A child G + ij is a
     candidate only if ij maximises ``_edge_key`` among its edges (the cheap
     half of McKay's canonical deletion, "Isomorph-free exhaustive generation",
-    J. Algorithms 26, 1998); candidates that pass ``keep`` are deduped by
-    canonical certificate, whose rows then represent the class and parent the
-    next level. Levels come in ascending edge count.
+    J. Algorithms 26, 1998). Candidates that pass ``keep`` are certified as
+    they are made; the certificate rows dedupe and represent the next level's
+    classes and parent the level after. Levels come in ascending edge count.
 
     ``keep`` must be closed under edge deletion; it prunes whole subtrees
     without losing any graph that satisfies it. No class is lost to the
@@ -253,8 +260,8 @@ def _orderly_levels(n: int, keep: Callable[[Graph], bool]) -> Iterator[Graph]:
     level = {start.rows}
     pairs = list(combinations(range(n), 2))
     while level:
-        candidates: set[tuple[int, ...]] = set()
-        for rows in level:
+        parents, level = level, set()
+        for rows in parents:
             deg = [r.bit_count() for r in rows]
             # adding ij lowers no degree sum, so a parent edge whose sum already
             # exceeds ij's sum in the child rules ij out
@@ -265,13 +272,11 @@ def _orderly_levels(n: int, keep: Callable[[Graph], bool]) -> Iterator[Graph]:
                 cand_rows = list(rows)
                 cand_rows[i] |= 1 << j
                 cand_rows[j] |= 1 << i
-                if _is_max_edge(cand_rows, i, j):
-                    candidates.add(tuple(cand_rows))
-        level = set()
-        for cand_rows in candidates:
-            cand = Graph._unchecked(n, cand_rows)
-            if keep(cand):
-                level.add(canonical_certificate(cand))
+                if not _is_max_edge(cand_rows, i, j):
+                    continue
+                cand = Graph._unchecked(n, tuple(cand_rows))
+                if keep(cand):
+                    level.add(canonical_certificate(cand))
         for rows in level:
             yield Graph._unchecked(n, rows)
 
@@ -508,20 +513,9 @@ def _family_configs(r: int, n: int) -> Iterator[tuple[tuple[int, ...], int, int]
                 yield sizes, ia, ib
 
 
-def _family_cell_adjacency(r: int) -> np.ndarray:
-    """The 0/1 adjacency C of the r + 3 independent cells of a configuration:
-    the new vertex u; v and w, the ends of the removed cross edge in parts a
-    and b; A' = part a - v; B' = part b - w; then the other parts in slot
-    order. Two cells are completely joined unless they are uA', uB', vw, vA'
-    or wB'."""
-    c = 1 - np.eye(r + 3, dtype=np.int64)
-    c[[0, 0, 1, 1, 2], [3, 4, 2, 3, 4]] = c[[3, 4, 2, 3, 4], [0, 0, 1, 1, 2]] = 0
-    return c
-
-
 def _family_cell_sizes(sizes: tuple[int, ...], ia: int, ib: int) -> np.ndarray:
-    """The cell sizes s: the configuration is C blown up by s, with equitable
-    quotient C diag(s). A cell of size 0 only adds the eigenvalue 0."""
+    """The cell sizes s: the configuration is C = ``_family_pattern`` blown up
+    by s, with equitable quotient C diag(s). A size 0 only adds the eigenvalue 0."""
     rest = sizes[:ia] + sizes[ia + 1 : ib] + sizes[ib + 1 :]
     return np.array((1, 1, 1, sizes[ia] - 1, sizes[ib] - 1) + rest)
 
@@ -534,11 +528,11 @@ def _cell_graph_rho(c: np.ndarray, s: np.ndarray) -> float:
 
 def _family_y_key(r: int, n: int) -> tuple[tuple[int, ...], tuple[int, int]]:
     """(part sizes, sorted slot sizes) of the configuration isomorphic to
-    y_graph(r, n): its new vertex is u, its slot parts T1 and T2 - u."""
-    lay = y_graph_layout(r, n)
-    sizes = [len(p) for p in lay.parts]
-    sizes[lay.t2] -= 1
-    return tuple(sorted(sizes, reverse=True)), tuple(sorted((sizes[lay.t1], sizes[lay.t2])))
+    y_graph(r, n): its new vertex is u, its slot parts T1 = {v} + A' and
+    T2 - u = {w} + B' (``_y_graph_cells``)."""
+    sizes = [len(cell) for cell in _y_graph_cells(r, n)]
+    slots = (sizes[1] + sizes[3], sizes[2] + sizes[4])
+    return tuple(sorted(slots + tuple(sizes[5:]), reverse=True)), tuple(sorted(slots))
 
 
 def lemma27_scan(r: int, n: int, unique_margin: float = 1e-9) -> FamilyScanReport:
@@ -554,7 +548,7 @@ def lemma27_scan(r: int, n: int, unique_margin: float = 1e-9) -> FamilyScanRepor
         raise ValueError("need n >= 2r")
     configs = list(_family_configs(r, n))  # meets the guard before any eigensolve
     y_key = _family_y_key(r, n)
-    c = _family_cell_adjacency(r)
+    c = _family_pattern(r)
     radii = []
     for sizes, ia, ib in configs:
         is_y = (sizes, (sizes[ib], sizes[ia])) == y_key

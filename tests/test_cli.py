@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 
@@ -80,6 +81,15 @@ def test_spectrum_file_and_malformed_line(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_non_ascii_file_byte_is_named_by_line(tmp_path, capsys):
+    # the lines before it are answered first; exit 2 as for any malformed line
+    f = tmp_path / "graphs.g6"
+    f.write_bytes(graph6_encode(path_graph(3)).encode() + b"\r\nB\xc3\xa9\n")
+    code, out, err = run(capsys, "check", "--in", str(f), "--chromatic")
+    assert (code, json.loads(out)["chromatic"]) == (2, 2)
+    assert err == "error: line 2: byte 195 outside graph6 range 63..126 (byte offset 1)\n"
+
+
 def test_check_flags(tmp_path, capsys):
     f = tmp_path / "y.g6"
     f.write_text(graph6_encode(y_graph(3, 9)) + "\n")
@@ -145,6 +155,47 @@ def test_check_bytes(capsys, monkeypatch):
                        "--chromatic", "--color-critical")
     assert code == 0
     assert out == CHECK_PIN
+
+
+def test_check_streams_stdin_line_by_line(monkeypatch):
+    # each line's result is on stdout before the next line is read; lines split
+    # at "\n", "\r\n" and "\r"
+    path, k4 = graph6_encode(path_graph(3)), graph6_encode(complete_graph(4))
+    out = io.StringIO()
+
+    def stdin():
+        yield path + "\n"
+        assert json.loads(out.getvalue()) == {"order": 3, "size": 2, "chromatic": 2}
+        yield k4 + "\r" + path + "\r\n"
+        yield "\n"
+
+    monkeypatch.setattr("sys.stdin", stdin())
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["check", "--in", "-", "--chromatic"]) == 0
+    assert [json.loads(t)["chromatic"] for t in out.getvalue().splitlines()] == [2, 4, 2]
+
+
+def test_check_answers_each_piped_line_while_stdin_is_open():
+    # a block-buffered stdout pipe would hold line 1's result until stdin closes
+    import spexlab
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(spexlab.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from spexlab.cli import main; sys.exit(main())",
+         "check", "--in", "-", "--chromatic"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True)
+    try:
+        proc.stdin.write(graph6_encode(path_graph(3)) + "\n")
+        proc.stdin.flush()
+        assert select.select([proc.stdout], [], [], 60)[0], "no result while stdin is open"
+        assert json.loads(proc.stdout.readline())["chromatic"] == 2
+        proc.stdin.write(graph6_encode(complete_graph(4)) + "\n")
+        proc.stdin.close()
+        assert json.loads(proc.stdout.readline())["chromatic"] == 4
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
 
 
 def test_check_colours_each_graph_once_for_chromatic_and_criticality(capsys, monkeypatch):

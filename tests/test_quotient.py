@@ -2,12 +2,13 @@
 (cross-checked against Bareiss determinants), root isolation, and the
 six-cell verification pipeline with its closed-form coefficients."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spexlab.graphs import cycle_graph, make_multipartite, turan, y_graph
+from spexlab.graphs import cycle_graph, graph6_encode, make_multipartite, turan, y_graph
 from spexlab.quotient import (
     EquitabilityError,
     IntMatrix,
@@ -198,6 +199,22 @@ def test_quotient_partition_guards():
         y_graph_quotient_partition(4, 8)  # large part too small
     part = y_graph_quotient_partition(4, 12)
     assert len(part.cells) == 7
+
+
+def test_y_graph_and_its_partition_are_pinned():
+    # rows of y_graph and its quotient cells (or the guard's message) over a grid,
+    # plus one large member; the digest was taken before y_graph was rebuilt as
+    # the blow-up of the construction-family cell pattern
+    h = hashlib.sha256()
+    for r in range(2, 9):
+        for n in range(2 * r, 90):
+            h.update(repr(y_graph(r, n).rows).encode())
+            try:
+                h.update(repr(y_graph_quotient_partition(r, n).cells).encode())
+            except ValueError as exc:
+                h.update(str(exc).encode())
+    h.update(graph6_encode(y_graph(3, 3200)).encode())
+    assert h.hexdigest() == "abf60add356392729222047528303e3949f9a5b58cee777763d6eda4a3549bcf"
 
 
 def test_equitable_refine_random_graphs_are_verified():

@@ -3,6 +3,7 @@ cycle-index formula, and the exhaustive searches at known small cases."""
 
 import hashlib
 import math
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -12,12 +13,15 @@ import pytest
 import spexlab.search as search
 from spexlab.graphs import (
     Graph,
+    _family_pattern,
+    _y_graph_cells,
     bits,
     complete_graph,
     cycle_graph,
     graph6_decode,
     graph6_encode,
     make_multipartite,
+    path_graph,
     turan,
     u_graph,
     y_graph,
@@ -29,7 +33,6 @@ from spexlab.search import (
     PredicateSpec,
     _cell_graph_rho,
     _census_cached,
-    _family_cell_adjacency,
     _family_cell_sizes,
     _family_configs,
     _family_y_key,
@@ -110,6 +113,18 @@ def test_canonical_form_is_an_invariant():
         perm = [int(t) for t in rng.permutation(g.n)]
         assert canonical_form(g).rows == canonical_form(g.relabel(perm)).rows
         assert are_isomorphic(g, g.relabel(perm))
+
+
+@pytest.mark.parametrize("g", [complete_graph(1100), path_graph(20)], ids=["K1100", "P20"])
+def test_canonical_form_guard_refuses_large_orders_at_once(g):
+    # K_1100 used to exhaust the recursion limit, P_20 ran for minutes
+    t0 = time.perf_counter()
+    with pytest.raises(FeasibilityError, match=f"canonical form guard: n <= 12, got {g.n}"):
+        canonical_graph6(g)
+    with pytest.raises(FeasibilityError):
+        canonical_form(g)
+    assert time.perf_counter() - t0 < 1.0
+    assert canonical_graph6(path_graph(12)) == "K???GSSIA_S?"  # the largest order admitted
 
 
 def test_canonical_forms_of_the_order7_census_are_pinned():
@@ -497,7 +512,7 @@ FAMILY_ORACLE_CASES = [(r, n) for r in range(2, 6) for n in range(2 * r, 21)]
 
 @pytest.mark.parametrize("r,n", FAMILY_ORACLE_CASES)
 def test_family_cell_graph_matches_built_configurations(r, n):
-    c = _family_cell_adjacency(r)
+    c = _family_pattern(r)
     y = y_graph(r, n)
     y_key = _family_y_key(r, n)
     for sizes, ia, ib in _family_configs(r, n):
@@ -518,11 +533,22 @@ def test_y_graph_quotient_is_the_family_quotient_at_its_key(r, n):
     y_sizes, (low, high) = _family_y_key(r, n)
     ia = y_sizes.index(high)
     ib = y_sizes.index(low) if low < high else ia + 1
-    q = (_family_cell_adjacency(r) * _family_cell_sizes(y_sizes, ia, ib)).tolist()
+    q = (_family_pattern(r) * _family_cell_sizes(y_sizes, ia, ib)).tolist()
     swap = [1, 0] + list(range(2, r + 3))  # y's cells start v, u; the family's u, v
     expect = [[q[i][j] for j in swap] for i in swap]
     got = quotient_matrix(y_graph(r, n), y_graph_quotient_partition(r, n))
     assert [list(row) for row in got.entries] == expect
+
+
+@pytest.mark.parametrize("r,n", FAMILY_ORACLE_CASES)
+def test_y_graph_is_the_blow_up_of_the_family_pattern(r, n):
+    # one cell order for y_graph and the lemma27 scan: no swap
+    cells = _y_graph_cells(r, n)
+    sizes = [len(cell) for cell in cells]
+    full = [k for k, cell in enumerate(cells) if cell]
+    q = quotient_matrix(y_graph(r, n), Partition(tuple(cells[k] for k in full)))
+    expect = (_family_pattern(r) * np.array(sizes))[np.ix_(full, full)]
+    assert np.array_equal(np.array(q.entries), expect)
 
 
 @pytest.mark.parametrize("r,n", FAMILY_ORACLE_CASES + [(3, 30), (4, 30)])
