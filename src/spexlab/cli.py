@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="spectral radius of each input graph")
     p.add_argument("--in", dest="infile", required=True, help="graph6 file or - for stdin")
-    # components of at most 64 vertices are solved by eigh; these three flags
-    # drive the power iteration on larger ones
+    # eigh solves components of at most 64 vertices or at most 64 twin
+    # classes; these three flags drive the power iteration on the other ones
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--maxiter", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)

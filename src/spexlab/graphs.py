@@ -182,6 +182,15 @@ def _reordered(rows: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _twin_classes(rows: Sequence[int], vertices: Iterable[int]) -> list[list[int]]:
+    """``vertices`` grouped by equal row (open twins), classes in order of their
+    first member, members in the order given."""
+    groups: dict[int, list[int]] = {}
+    for v in vertices:
+        groups.setdefault(rows[v], []).append(v)
+    return list(groups.values())  # dicts keep first-insertion order
+
+
 def _bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:
     """Rows in 0..2^n - 1 as a len(rows) x n 0/1 uint8 matrix, via their bytes."""
     nbytes = (n + 7) // 8

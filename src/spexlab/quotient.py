@@ -14,7 +14,7 @@ from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
 from .graphs import Graph, _y_graph_cells, bits, y_graph
-from .spectral import spectral_radius
+from .spectral import _solve_dense, adjacency_matrix
 from .structure import Partition, color_refine
 
 
@@ -398,7 +398,9 @@ def verify_lemma32(n: int, tol: float = 1e-8) -> Lemma32Report:
     mismatch = next((idx for idx, (a, b) in pairs if a != b), None)  # None pads the shorter
     sign_ok = closed.sign_at(Fraction(2 * n, 3) - Fraction(7, 12)) < 0
     rho_q = largest_root(closed)
-    rho_d = spectral_radius(g).rho
+    # on the full matrix: spectral_radius would solve y_graph on its twin
+    # classes, which are these cells, and so not check them independently
+    rho_d = _solve_dense(adjacency_matrix(g))[0]
     return Lemma32Report(
         n=n,
         poly_match=mismatch is None,
@@ -429,7 +431,7 @@ def y_quotient_cross_check(r: int, n: int, tol: float = 1e-8) -> QuotientCrossCh
     part = y_graph_quotient_partition(r, n)
     p = char_poly(quotient_matrix(g, part))
     rho_q = largest_root(p)
-    rho_d = spectral_radius(g).rho
+    rho_d = _solve_dense(adjacency_matrix(g))[0]  # the full matrix, as in verify_lemma32
     return QuotientCrossCheck(
         r=r,
         n=n,

@@ -1,10 +1,17 @@
 """Spectral radius and Perron vector, plus the classical spectral bounds.
 
-Each connected component is solved on its own float adjacency matrix, and the
-largest radius is reported. Components of at most ``DENSE_MAX_N`` vertices go
-to ``numpy.linalg.eigh``. Larger ones use power iteration on A + I: adding the
-identity makes the top adjacency eigenvalue strictly dominant in magnitude even
-on bipartite graphs (whose spectra are symmetric about 0), so the iteration
+Each connected component is solved on its own, and the largest radius is
+reported. A component of more than ``DENSE_MAX_N`` vertices is grouped into open
+twin classes (vertices with equal neighbourhoods). If it has at most
+``DENSE_MAX_N`` of them, it is solved on those classes, with no n x n matrix:
+they form an equitable partition whose quotient B = C diag(s) (C the 0/1 class
+pattern, s the class sizes) has A's largest eigenvalue, and A's Perron vector
+is constant on each class (Brouwer & Haemers, *Spectra of Graphs*, 2012, §2.3);
+``numpy.linalg.eigh`` solves it as the symmetric diag(√s) C diag(√s). Every
+other component uses its float adjacency matrix: ``eigh`` up to
+``DENSE_MAX_N`` vertices, and above that power iteration on A + I. Adding the
+identity makes the top eigenvalue strictly dominant in magnitude even on
+bipartite graphs (whose spectra are symmetric about 0), so the iteration
 converges on every connected graph.
 """
 
@@ -16,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _bit_matrix, mask_of
+from .graphs import Graph, _bit_matrix, _twin_classes, mask_of
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
@@ -24,7 +31,9 @@ DEFAULT_MAX_ITER = 1_000_000
 # at n = 8 and ~0.6 ms at n = 64. Power iteration pays ~10 us of Python overhead
 # per step, so the 20-40 steps of a well-mixed graph take ~0.4 ms at any n <= 64,
 # while a path needs ~n^2 steps (2,876 and 42 ms at n = 64). The two meet near
-# n = 64 on well-mixed graphs; above it eigh's O(n^3) cost pulls away.
+# n = 64 on well-mixed graphs; above it eigh's O(n^3) cost pulls away. Only
+# components above this bound are grouped into twin classes, and only those
+# with at most this many classes are solved on their quotient (by eigh).
 DENSE_MAX_N = 64
 # Radii closer than this are ties: eigh puts rho(C4) at 2.0000000000000004.
 TIE_TOL = 1e-12
@@ -93,6 +102,30 @@ def _power_iterate_dense(a: np.ndarray, tol: float, max_iter: int, seed: int):
     raise ConvergenceError(res, max_iter)
 
 
+def _solve_dense(
+    a: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER, seed: int = 0
+):
+    """(rho, x, residual, iterations) of a connected graph's matrix a."""
+    if len(a) <= DENSE_MAX_N:
+        return _eigh_dense(a)
+    return _power_iterate_dense(a, tol, max_iter, seed)
+
+
+def _solve_quotient(rows: Sequence[int], n: int, classes: Sequence[Sequence[int]]):
+    """(rho, y, residual, 0) of a connected component from its at most
+    ``DENSE_MAX_N`` twin classes: y holds one value per class, and
+    |B y - rho y|_inf equals |A x - rho x|_inf for x, the blow-up of y."""
+    reps = [c[0] for c in classes]
+    c = _bit_matrix([rows[v] for v in reps], n)[:, reps].astype(float)
+    s = np.array([len(m) for m in classes], dtype=float)
+    w, v = np.linalg.eigh(c * np.sqrt(np.outer(s, s)))  # diag(√s) C diag(√s)
+    rho = float(w[-1])
+    y = np.abs(v[:, -1]) / np.sqrt(s)
+    y /= y.max()
+    res = float(np.abs((c * s) @ y - rho * y).max())  # B = C diag(s)
+    return rho, y, res, 0
+
+
 def spectral_radius(
     g: Graph,
     tol: float = DEFAULT_TOL,
@@ -101,9 +134,11 @@ def spectral_radius(
 ) -> SpectralResult:
     """Largest adjacency eigenvalue of g with its Perron vector.
 
-    Components of at most ``DENSE_MAX_N`` vertices are solved by
-    ``numpy.linalg.eigh`` (``iterations`` is 0); ``tol``, ``max_iter`` and
-    ``seed`` drive the power iteration on larger ones, which stops once
+    A component of more than ``DENSE_MAX_N`` vertices but at most
+    ``DENSE_MAX_N`` twin classes is solved by ``eigh`` on its twin quotient,
+    and one of at most ``DENSE_MAX_N`` vertices by ``eigh`` on its matrix
+    (``iterations`` is 0 for both); ``tol``, ``max_iter`` and ``seed`` drive
+    the power iteration on the other components, which stops once
     |A x - rho x|_inf <= tol. ``residual`` is |A x - rho x|_inf either way. A
     later component wins only if its radius is larger by more than
     ``TIE_TOL``; the vector is 0 outside the winning component.
@@ -113,22 +148,27 @@ def spectral_radius(
     if tol <= 0:
         raise ValueError("tol must be positive")
     comps = g.components()
-    a = adjacency_matrix(g)
+    a = None  # the n x n matrix, built once a component needs it
     best: Optional[tuple[float, Sequence[int], np.ndarray, float, int]] = None
     for comp in comps:
+        classes = _twin_classes(g.rows, comp) if len(comp) > DENSE_MAX_N else None
         if len(comp) == 1:
-            rho, vec, res, its = 0.0, np.ones(1), 0.0, 0
+            rho, verts, vec, res, its = 0.0, comp, np.ones(1), 0.0, 0
+        elif classes and len(classes) <= DENSE_MAX_N:
+            rho, y, res, its = _solve_quotient(g.rows, g.n, classes)
+            verts = [v for m in classes for v in m]
+            vec = np.repeat(y, [len(m) for m in classes])
         else:
+            if a is None:
+                a = adjacency_matrix(g)
             sub = a if len(comps) == 1 else a[np.ix_(comp, comp)]
-            if len(comp) <= DENSE_MAX_N:
-                rho, vec, res, its = _eigh_dense(sub)
-            else:
-                rho, vec, res, its = _power_iterate_dense(sub, tol, max_iter, seed)
+            rho, vec, res, its = _solve_dense(sub, tol, max_iter, seed)
+            verts = comp
         if best is None or rho > best[0] + TIE_TOL:
-            best = (rho, comp, vec, res, its)
-    rho, comp, vec, res, its = best
+            best = (rho, verts, vec, res, its)
+    rho, verts, vec, res, its = best
     full = np.zeros(g.n)
-    full[list(comp)] = vec
+    full[list(verts)] = vec
     return SpectralResult(
         rho=rho,
         vector=tuple(full.tolist()),

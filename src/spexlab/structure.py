@@ -18,7 +18,9 @@ from functools import lru_cache
 from itertools import islice
 from typing import Optional, Sequence, Union
 
-from .graphs import Graph, _reordered, bits, mask_of
+import numpy as np
+
+from .graphs import Graph, _bit_matrix, _reordered, _twin_classes, bits, mask_of
 
 
 class FeasibilityError(ValueError):
@@ -101,18 +103,36 @@ def color_refine(rows: Sequence[int], cells: Sequence[int]) -> list[int]:
 # ---------------------------------------------------------------------
 
 
+# Up to this order, re-counting the alive degrees at every step beats the fixed
+# cost of numpy calls (per graph on a 2-vCPU VM: 7.6 vs 33 us at n = 8, 60 vs
+# 80 us at n = 24); above it the numpy degree vector wins (177 vs 103 us at
+# n = 32, 0.5 s vs 8 ms on K_1200). A book-forbidding census calls this once
+# per candidate graph of order at most 10.
+_RECOUNT_MAX_N = 30
+
+
 def degeneracy_order(g: Graph) -> list[int]:
     """Repeatedly remove a minimum-degree vertex; ties by index."""
-    alive = (1 << g.n) - 1
+    n = g.n
     order = []
-    for _ in range(g.n):
-        best_v, best_d = -1, g.n + 1
-        for v in bits(alive):
-            d = (g.rows[v] & alive).bit_count()
-            if d < best_d:
-                best_v, best_d = v, d
-        order.append(best_v)
-        alive &= ~(1 << best_v)
+    if n <= _RECOUNT_MAX_N:
+        alive = (1 << n) - 1
+        for _ in range(n):
+            best_v, best_d = -1, n + 1
+            for v in bits(alive):
+                d = (g.rows[v] & alive).bit_count()
+                if d < best_d:
+                    best_v, best_d = v, d
+            order.append(best_v)
+            alive &= ~(1 << best_v)
+        return order
+    a = _bit_matrix(g.rows, n)
+    deg = a.sum(axis=1, dtype=np.int64)
+    for _ in range(n):
+        v = int(deg.argmin())  # the first minimum: ties by index
+        order.append(v)
+        deg -= a[v]
+        deg[v] = 2 * n  # removed: at most n - 1 later decrements keep it above n - 1
     return order
 
 
@@ -203,14 +223,10 @@ def contains_generalized_book(
 def _contract_twins(g: Graph) -> tuple[Graph, list[list[int]]]:
     """Merge vertices with identical open neighbourhoods (colour-equivalent).
     One pass leaves no twins: deleting a twin never makes two non-twins equal."""
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.rows[v], []).append(v)
-    reps = sorted(grp[0] for grp in groups.values())
-    if len(reps) == g.n:
-        return g, [[v] for v in range(g.n)]
-    member_lists = [sorted(groups[g.rows[rep]]) for rep in reps]
-    return g.induced(reps), member_lists
+    classes = _twin_classes(g.rows, range(g.n))
+    if len(classes) == g.n:
+        return g, classes
+    return g.induced([c[0] for c in classes]), classes
 
 
 def is_r_colorable(g: Graph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:

@@ -368,7 +368,7 @@ def test_json_output_is_strict(capsys):
 def test_internal_failure_exit_code(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(y_graph(3, 90)) + "\n"))
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(path_graph(100)) + "\n"))
     code, out, err = run(capsys, "spectrum", "--in", "-", "--maxiter", "3")
     assert code == 3 and out == ""
     assert err.startswith("internal error: ConvergenceError")

@@ -11,6 +11,8 @@ from spexlab.graphs import (
     Graph,
     Graph6ParseError,
     _reordered,
+    _twin_classes,
+    _y_graph_cells,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -521,3 +523,14 @@ def test_bulk_random_draws_match_pairwise_loop(n, r, p, seed):
     assert Graph(g.n, g.rows).rows == g.rows and a.random() == b.random()
     h = random_connected_graph(n, p, a)
     assert h.is_connected() and Graph(h.n, h.rows).rows == h.rows
+
+
+def test_twin_classes_are_the_equal_row_classes_in_first_member_order():
+    g = make_multipartite([2, 1, 3])  # classes {0, 1}, {2}, {3, 4, 5}
+    assert _twin_classes(g.rows, range(6)) == [[0, 1], [2], [3, 4, 5]]
+    assert _twin_classes(g.rows, [4, 2, 0, 3]) == [[4, 3], [2], [0]]  # the order given
+    y = y_graph(3, 12)
+    classes = _twin_classes(y.rows, range(12))
+    assert sorted(map(sorted, classes)) == sorted(sorted(c) for c in _y_graph_cells(3, 12) if c)
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    assert _twin_classes(path_graph(5).rows, range(5)) == [[0], [1], [2], [3], [4]]

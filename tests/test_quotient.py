@@ -192,6 +192,15 @@ def test_y_quotient_cross_check_higher_r():
         assert rep.rho_agree and rep.above_lower_bound
 
 
+def test_dense_cross_checks_read_the_full_matrix():
+    # values from power iteration on the n x n matrix; spectral_radius solves
+    # y_graph on its twin classes, the cells being checked, and differs in the
+    # last digits at these n, so the oracle must not go through it
+    assert verify_lemma32(1500).rho_dense == 999.499864714346
+    assert y_quotient_cross_check(4, 200).rho_dense == 149.58636491303753
+    assert y_quotient_cross_check(5, 101).rho_dense == 80.45923364618069
+
+
 def test_quotient_partition_guards():
     with pytest.raises(ValueError):
         y_graph_quotient_partition(3, 8)

@@ -1,11 +1,14 @@
 """Eigensolver accuracy against closed forms, and the classical bounds."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import spexlab.spectral as spectral_mod
 from spexlab.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -266,3 +269,118 @@ def test_isolated_vertex_and_trivial_graphs():
     res = spectral_radius(from_edges(3, [(0, 1)]))
     assert res.rho == pytest.approx(1.0, abs=1e-10)
     assert res.disconnected
+
+
+# -- the twin quotient path ---------------------------------------------
+
+
+def blow_up(base, sizes):
+    """Each vertex i of base replaced by sizes[i] pairwise non-adjacent twins."""
+    starts = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    blocks = [((1 << k) - 1) << lo for k, lo in zip(sizes, starts)]
+    rows = []
+    for i, k in enumerate(sizes):
+        row = sum(blocks[j] for j in range(base.n) if base.has_edge(i, j))
+        rows += [row] * k
+    return Graph(len(rows), tuple(rows))
+
+
+def assert_matches_oracle(g, res, tol=DEFAULT_TOL):
+    """rho against eigvalsh, the residual recomputed on the full matrix, the
+    vector against eigh's on connected graphs and 0 off one component."""
+    a = adjacency_matrix(g)
+    rho = np.linalg.eigvalsh(a)[-1]
+    assert abs(res.rho - rho) <= 1e-9 * max(1.0, rho)
+    x = np.array(res.vector)
+    assert np.abs(a @ x - res.rho * x).max() <= tol
+    assert res.disconnected == (not g.is_connected())
+    if not res.disconnected:
+        top = np.abs(np.linalg.eigh(a)[1][:, -1])
+        assert np.abs(x - top / top.max()).max() <= 1e-8
+    else:
+        support = [v for v in range(g.n) if x[v] != 0]
+        assert any(set(support) == set(c) for c in g.components() if len(c) > 1)
+
+
+def quotient_cases():
+    for r in range(2, 6):
+        for n in (65, 100, 201):
+            yield f"y_graph({r},{n})", y_graph(r, n)
+    yield "turan(4,1200)", turan(4, 1200)
+    yield "turan(5,333)", turan(5, 333)
+    yield "K_1,100", make_multipartite([1, 100])
+    yield "K_3,30,70", make_multipartite([3, 30, 70])
+    yield "K_1,2,5,60", make_multipartite([1, 2, 5, 60])
+    rng = np.random.default_rng(3)
+    for i in range(12):
+        base = random_connected_graph(int(rng.integers(5, 21)), 0.4, rng)
+        yield f"blow-up-{i}", blow_up(base, rng.integers(1, 16, base.n).tolist())
+
+
+@pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in quotient_cases()])
+def test_twin_quotient_matches_dense_oracle(g):
+    res = spectral_radius(g)
+    assert_matches_oracle(g, res)
+    if g.n > DENSE_MAX_N and len(set(g.rows)) < g.n:
+        assert res.iterations == 0  # solved by eigh on at most 64 classes
+
+
+def test_star_quotient_closed_form():
+    res = spectral_radius(make_multipartite([1, 100]))
+    assert res.rho == pytest.approx(10.0, abs=1e-12)
+    assert res.vector[0] == 1.0
+    assert res.vector[1:] == pytest.approx([0.1] * 100, abs=1e-14)
+
+
+def test_more_than_64_twin_classes_keep_the_dense_path():
+    rng = np.random.default_rng(80)
+    base = random_connected_graph(80, 0.1, rng)
+    assert len(set(base.rows)) == base.n  # twin-free, so the blow-up has 80 classes
+    sizes = rng.integers(1, 4, base.n).tolist()
+    g = blow_up(base, sizes)
+    assert g.n > base.n
+    res = spectral_radius(g)
+    assert res.iterations > 0
+    assert_matches_oracle(g, res)
+    rho, x, resid, its = spectral_mod._solve_dense(adjacency_matrix(g))
+    assert (res.rho, res.vector, res.residual, res.iterations) == (rho, tuple(x), resid, its)
+    with pytest.raises(ConvergenceError):
+        spectral_radius(g, max_iter=2)
+
+
+def test_disconnected_mixes_on_the_quotient_path():
+    g = disjoint_union(disjoint_union(y_graph(3, 100), turan(3, 90)), empty_graph(2))
+    res = spectral_radius(g)
+    assert_matches_oracle(g, res)
+    assert all(x > 0 for x in res.vector[:100]) and not any(res.vector[100:])
+    k40 = make_multipartite([40, 40])
+    twice = disjoint_union(k40, k40)
+    res = spectral_radius(twice)
+    assert res.rho == pytest.approx(40.0, abs=1e-12)  # a tie: the first copy wins
+    assert_matches_oracle(twice, res)
+    assert all(x > 0 for x in res.vector[:80]) and not any(res.vector[80:])
+
+
+def test_twin_free_and_small_results_are_pinned():
+    # sha256 of the reprs of these SpectralResults, taken before the twin
+    # quotient path existed: twin-free graphs keep the dense matrix and solver
+    rng = np.random.default_rng(65)
+    graphs = [random_connected_graph(n, (0.1, 0.3, 0.6)[n % 3], rng) for n in range(65, 131)]
+    graphs += [path_graph(100), cycle_graph(200)]
+    h = hashlib.sha256()
+    for g in graphs:
+        assert len(set(g.rows)) == g.n
+        h.update(repr(spectral_radius(g)).encode())
+    assert h.hexdigest() == "28c42f3299ba2e4c40256e2bf49bf85492c85edbab8bc3be41ed708db7dd6638"
+
+
+def test_large_family_member_builds_no_dense_matrix(monkeypatch):
+    def refuse(g):
+        raise AssertionError("n x n adjacency matrix built")
+
+    monkeypatch.setattr(spectral_mod, "adjacency_matrix", refuse)
+    res = spectral_radius(y_graph(3, 3200))
+    assert 2132.75 < res.rho < 3200 * 2 / 3 and res.iterations == 0
+    assert len(res.vector) == 3200 and max(res.vector) == 1.0
+    with pytest.raises(AssertionError, match="built"):
+        spectral_radius(path_graph(100))  # twin-free: the matrix path

@@ -84,6 +84,33 @@ def test_witness_is_always_proper():
                     assert colors[i] != colors[j]
 
 
+def degeneracy_order_reference(g: Graph) -> list[int]:
+    """The re-counting loop: remove a minimum-degree vertex, ties by index."""
+    alive = (1 << g.n) - 1
+    order = []
+    for _ in range(g.n):
+        best_v, best_d = -1, g.n + 1
+        for v in bits(alive):
+            d = (g.rows[v] & alive).bit_count()
+            if d < best_d:
+                best_v, best_d = v, d
+        order.append(best_v)
+        alive &= ~(1 << best_v)
+    return order
+
+
+def test_degeneracy_order_matches_recounting_reference():
+    rng = np.random.default_rng(21)
+    graphs = [random_graph(int(rng.integers(0, 60)), float(rng.uniform(0.05, 0.9)), rng)
+              for _ in range(120)]
+    graphs += [complete_graph(n) for n in (0, 1, 2, 5, 40)]
+    graphs += [turan(r, n) for r, n in ((2, 7), (3, 30), (4, 41))]
+    graphs += [empty_graph(n) for n in (0, 1, 6)]
+    graphs += [y_graph(3, 31), path_graph(50), cycle_graph(9)]
+    for g in graphs:
+        assert degeneracy_order(g) == degeneracy_order_reference(g), g.rows
+
+
 def test_one_twin_contraction_leaves_no_twins():
     rng = np.random.default_rng(8)
     graphs = list(_census_cached(7, (None, None)))
