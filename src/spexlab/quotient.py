@@ -383,6 +383,24 @@ class Lemma32Report:
         return out
 
 
+def _y_pipeline(r: int, n: int, tol: float, root_of: Optional[IntPoly] = None):
+    """The quotient characteristic polynomial of y_graph(r, n), and the report
+    fields both pipelines share. The quotient root is taken of ``root_of``
+    when given, else of that polynomial. The dense radius is taken on the full
+    matrix: spectral_radius would solve y_graph on its twin classes, which are
+    these cells, and so not check them independently."""
+    g = y_graph(r, n)
+    p = char_poly(quotient_matrix(g, y_graph_quotient_partition(r, n)))
+    rho_q = largest_root(p if root_of is None else root_of)
+    rho_d = _solve_dense(adjacency_matrix(g))[0]
+    return p, dict(
+        rho_quotient=rho_q,
+        rho_dense=rho_d,
+        rho_agree=abs(rho_q - rho_d) <= tol,
+        above_lower_bound=rho_d > y_spectral_lower_bound(r, n),
+    )
+
+
 def verify_lemma32(n: int, tol: float = 1e-8) -> Lemma32Report:
     """Full cross-check at one n: exact coefficient match of the six-cell
     quotient characteristic polynomial against the closed form, integer-exact
@@ -390,27 +408,18 @@ def verify_lemma32(n: int, tol: float = 1e-8) -> Lemma32Report:
     with the dense spectral radius of y_graph(3, n)."""
     if n < 9:
         raise ValueError("need n >= 9")
-    g = y_graph(3, n)
-    part = y_graph_quotient_partition(3, n)
-    computed = char_poly(quotient_matrix(g, part)).scale(729)
     closed = lemma32_polynomial(n)
-    pairs = enumerate(zip_longest(computed.coeffs, closed.coeffs))
+    # the root of the closed form as published: scaling would move its Newton floats
+    computed, shared = _y_pipeline(3, n, tol, root_of=closed)
+    pairs = enumerate(zip_longest(computed.scale(729).coeffs, closed.coeffs))
     mismatch = next((idx for idx, (a, b) in pairs if a != b), None)  # None pads the shorter
-    sign_ok = closed.sign_at(Fraction(2 * n, 3) - Fraction(7, 12)) < 0
-    rho_q = largest_root(closed)
-    # on the full matrix: spectral_radius would solve y_graph on its twin
-    # classes, which are these cells, and so not check them independently
-    rho_d = _solve_dense(adjacency_matrix(g))[0]
     return Lemma32Report(
         n=n,
         poly_match=mismatch is None,
         mismatch_index=mismatch,
-        sign_ok=sign_ok,
-        rho_quotient=rho_q,
-        rho_dense=rho_d,
-        rho_agree=abs(rho_q - rho_d) <= tol,
-        above_lower_bound=rho_d > y_spectral_lower_bound(3, n),
+        sign_ok=closed.sign_at(Fraction(2 * n, 3) - Fraction(7, 12)) < 0,
         scaled_polynomial=closed,
+        **shared,
     )
 
 
@@ -427,16 +436,4 @@ class QuotientCrossCheck:
 def y_quotient_cross_check(r: int, n: int, tol: float = 1e-8) -> QuotientCrossCheck:
     """Generic pipeline for any r: quotient largest root vs dense radius of
     y_graph(r, n), plus the closed-form lower bound (no coefficient oracle)."""
-    g = y_graph(r, n)
-    part = y_graph_quotient_partition(r, n)
-    p = char_poly(quotient_matrix(g, part))
-    rho_q = largest_root(p)
-    rho_d = _solve_dense(adjacency_matrix(g))[0]  # the full matrix, as in verify_lemma32
-    return QuotientCrossCheck(
-        r=r,
-        n=n,
-        rho_quotient=rho_q,
-        rho_dense=rho_d,
-        rho_agree=abs(rho_q - rho_d) <= tol,
-        above_lower_bound=rho_d > y_spectral_lower_bound(r, n),
-    )
+    return QuotientCrossCheck(r=r, n=n, **_y_pipeline(r, n, tol)[1])

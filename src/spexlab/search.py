@@ -29,7 +29,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import combinations
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,10 +38,10 @@ from .graphs import _family_pattern, _y_graph_cells
 from .spectral import TIE_TOL, rotate_edges, spectral_radius
 from .structure import (
     FeasibilityError,
+    _find_clique,
     chromatic_number,
     color_refine,
     contains_clique,
-    contains_generalized_book,
     is_complete_bipartite,
     is_r_colorable,
     strip_isolated,
@@ -59,18 +59,18 @@ _CANONICAL_PERM_GUARD = 12
 # ---------------------------------------------------------------------
 
 
-def _twin_keys(rows: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Per vertex, ids of its open and closed neighbourhoods: vertices sharing
-    either id are twins, so swapping them is an automorphism."""
-    open_ids: dict[int, int] = {}
-    closed_ids: dict[int, int] = {}
-    return [
-        (
-            open_ids.setdefault(r, len(open_ids)),
-            closed_ids.setdefault(r | (1 << v), len(closed_ids)),
-        )
-        for v, r in enumerate(rows)
-    ]
+def _untwinned(rows: Sequence[int], members: Iterable[int]) -> list[int]:
+    """The members that are neither open nor closed twins of an earlier member
+    (swapping two twins is an automorphism). One set holds both kinds of
+    neighbourhood: N(u) = N[v] would put v in N(u), so u in N[v] = N(u)."""
+    seen: set[int] = set()
+    out = []
+    for v in members:
+        closed = rows[v] | (1 << v)
+        if rows[v] not in seen and closed not in seen:
+            out.append(v)
+        seen.update((rows[v], closed))
+    return out
 
 
 def canonical_certificate(g: Graph) -> tuple[int, ...]:
@@ -89,7 +89,6 @@ def canonical_certificate(g: Graph) -> tuple[int, ...]:
     """
     n = g.n
     rows = g.rows
-    twin_keys = _twin_keys(rows)
     best: Optional[tuple[int, ...]] = None
     stack = [color_refine(rows, [(1 << n) - 1] if n else [])]
     while stack:
@@ -102,18 +101,11 @@ def canonical_certificate(g: Graph) -> tuple[int, ...]:
             if best is None or cert < best:
                 best = cert
             continue
-        members = list(bits(c))
-        keys = [twin_keys[v] for v in members]
-        if len({k[0] for k in keys}) == 1 or len({k[1] for k in keys}) == 1:
-            stack.append(cells[:idx] + [1 << v for v in members] + cells[idx + 1:])
+        members = _untwinned(rows, bits(c))
+        if len(members) == 1:  # one twin class: a vertex has open or closed twins, never both
+            stack.append(cells[:idx] + [1 << v for v in bits(c)] + cells[idx + 1:])
             continue
-        seen_open: set[int] = set()
-        seen_closed: set[int] = set()
-        for v, (oid, cid) in zip(members, keys):
-            if oid in seen_open or cid in seen_closed:
-                continue
-            seen_open.add(oid)
-            seen_closed.add(cid)
+        for v in members:
             child = cells[:idx] + [1 << v, c ^ (1 << v)] + cells[idx + 1:]
             stack.append(color_refine(rows, child))
     return best
@@ -136,7 +128,6 @@ def canonical_perm(g: Graph) -> list[int]:
     if n <= 1:
         return list(range(n))
     rows = g.rows
-    twin_keys = _twin_keys(rows)
     best_blocks: list[int] = []
     best_perm: list[int] = []
     have_best = False
@@ -173,14 +164,7 @@ def canonical_perm(g: Graph) -> list[int]:
         else:
             child_tight = False
         improved = False
-        seen_open: set[int] = set()
-        seen_closed: set[int] = set()
-        for v in members:
-            oid, cid = twin_keys[v]
-            if oid in seen_open or cid in seen_closed:
-                continue
-            seen_open.add(oid)
-            seen_closed.add(cid)
+        for v in _untwinned(rows, members):
             new_cand = cand_blocks[:]
             for t in range(n):
                 if not (used >> t) & 1 and t != v:
@@ -286,7 +270,8 @@ def _free_of(prune_key, g: Graph) -> bool:
     clique, book = prune_key
     if clique is not None and contains_clique(g, clique):
         return False
-    return book is None or not contains_generalized_book(g, book[0], book[1])[0]
+    # the kernel's yes/no needs no root order: every clique has a first vertex in any order
+    return book is None or _find_clique(g.rows, range(g.n), *book) is None
 
 
 @lru_cache(maxsize=64)

@@ -7,7 +7,10 @@ and cycles of thousands of vertices colour in well under a second, while its
 worst case stays exponential (dense graphs of a few dozen vertices). Twins
 (vertices with identical neighbourhoods) are merged once before colouring.
 The clique/book search keeps its own stack too, so r is not bounded by
-recursion; its bitset rows are meant for a few thousand vertices.
+recursion; its bitset rows are meant for a few thousand vertices. The public
+predicates add a root order, witnesses and their checks for users; callers
+that need only yes or no (the census, ``chromatic_number``) call the kernels
+``_find_clique`` and ``_dsatur`` directly.
 """
 
 from __future__ import annotations
@@ -103,29 +106,10 @@ def color_refine(rows: Sequence[int], cells: Sequence[int]) -> list[int]:
 # ---------------------------------------------------------------------
 
 
-# Up to this order, re-counting the alive degrees at every step beats the fixed
-# cost of numpy calls (per graph on a 2-vCPU VM: 7.6 vs 33 us at n = 8, 60 vs
-# 80 us at n = 24); above it the numpy degree vector wins (177 vs 103 us at
-# n = 32, 0.5 s vs 8 ms on K_1200). A book-forbidding census calls this once
-# per candidate graph of order at most 10.
-_RECOUNT_MAX_N = 30
-
-
 def degeneracy_order(g: Graph) -> list[int]:
     """Repeatedly remove a minimum-degree vertex; ties by index."""
     n = g.n
     order = []
-    if n <= _RECOUNT_MAX_N:
-        alive = (1 << n) - 1
-        for _ in range(n):
-            best_v, best_d = -1, n + 1
-            for v in bits(alive):
-                d = (g.rows[v] & alive).bit_count()
-                if d < best_d:
-                    best_v, best_d = v, d
-            order.append(best_v)
-            alive &= ~(1 << best_v)
-        return order
     a = _bit_matrix(g.rows, n)
     deg = a.sum(axis=1, dtype=np.int64)
     for _ in range(n):
@@ -337,7 +321,7 @@ def _chromatic_number(g: Graph) -> int:
         return 0
     h, _ = _contract_twins(g)
     r = len(greedy_clique(h))
-    while not is_r_colorable(h, r)[0]:
+    while _dsatur(h.rows, r)[0] is None:
         r += 1
     return r
 

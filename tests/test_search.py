@@ -163,6 +163,21 @@ def test_census_certifies_under_two_children_per_class(monkeypatch):
     assert len(calls) <= 2 * len(census)
 
 
+def test_book_census_builds_no_degeneracy_order(monkeypatch):
+    # the census asks the clique kernel yes or no, which any root order answers
+    import spexlab.structure as structure_mod
+
+    def refuse(g):
+        raise AssertionError("the census needs no root order")
+
+    monkeypatch.setattr(structure_mod, "degeneracy_order", refuse)
+    census = _census_cached.__wrapped__(7, (None, (3, 2)))  # bypass the cache
+    assert len(census) == 855
+    rows = repr(sorted(g.rows for g in census)).encode()
+    assert hashlib.sha256(rows).hexdigest() == (
+        "e052e1e542a0e42aa5155d6e131502fabe3081e6b0aa8f7312ef494d41115fd9")
+
+
 def test_edge_key_maximisers_are_invariant():
     rng = np.random.default_rng(24)
     for _ in range(80):
