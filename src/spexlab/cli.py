@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     # eigh solves components of at most 64 vertices or at most 64 twin
     # classes; these three flags drive the power iteration on the other ones
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--maxiter", type=int, default=1_000_000)
+    p.add_argument("--maxiter", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("check", help="structural predicates for each input graph")

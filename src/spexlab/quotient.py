@@ -1,13 +1,15 @@
 """Equitable partitions, exact integer quotient matrices and characteristic
-polynomials, certified real-root isolation, and the six-cell verification
+polynomials, the certified largest real root, and the six-cell verification
 pipeline for the folded-Turán family.
 
-All polynomial work is exact (big integers / rationals); floats only appear in
-the final root refinement and in cross-checks against the dense eigensolver.
+All polynomial work is exact (big integers / rationals): the largest root is
+isolated by a Sturm chain and bisection, and floats appear only as its
+correctly rounded value and in cross-checks against the dense eigensolver.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -92,19 +94,11 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def sign_at(self, x: Fraction) -> int:
         """Sign of p(x) at a rational point, by pure integer arithmetic."""
-        num, den = x.numerator, x.denominator
-        d = self.degree
-        acc = 0
-        for k, c in enumerate(self.coeffs):
-            acc += c * num**k * den ** (d - k)
+        acc, scale = 0, 1  # Horner on den**degree * p(num / den)
+        for c in reversed(self.coeffs):
+            acc, scale = acc * x.numerator + c * scale, scale * x.denominator
         return (acc > 0) - (acc < 0)
 
     def derivative(self) -> "IntPoly":
@@ -171,79 +165,67 @@ def det_exact(m: IntMatrix) -> int:
 
 
 # ---------------------------------------------------------------------
-# real roots
+# the largest real root
 # ---------------------------------------------------------------------
 
 
-def _cauchy_bound(p: IntPoly) -> Fraction:
-    lead = abs(p.coeffs[-1])
-    mx = max((abs(c) for c in p.coeffs[:-1]), default=0)
-    return 1 + Fraction(mx, lead)
+def _divmod(a: IntPoly, b: IntPoly) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by b over the rationals, coefficients ascending."""
+    r = [Fraction(c) for c in a.coeffs]
+    q = [Fraction(0)] * (a.degree - b.degree + 1)
+    for k in reversed(range(len(q))):
+        q[k] = r[k + b.degree] / b.coeffs[-1]
+        for i, c in enumerate(b.coeffs):
+            r[k + i] -= q[k] * c
+    return q, r[: b.degree]
 
 
-def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> Fraction:
-    # precondition: sign(p(lo)) * sign(p(hi)) < 0
-    slo = p.sign_at(lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sm = p.sign_at(mid)
-        if sm == 0:
-            return mid
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+def _primitive(cs: Sequence[Fraction]) -> Optional[IntPoly]:
+    """``cs`` times the positive rational making it primitive integral; None if all zero."""
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    content = math.gcd(*ints)
+    return IntPoly.of([c // content for c in ints]) if content else None
 
 
-def real_roots(p: IntPoly, width: Fraction = Fraction(1, 10**14)) -> list[Fraction]:
-    """All real roots, isolated by recursion on the derivative's roots.
-
-    Between consecutive critical points the polynomial is monotone, so each
-    interval holds at most one root, certified by exact sign evaluation.
-    """
-    d = p.degree
-    if d == 0:
-        return []
-    if d == 1:
-        return [Fraction(-p.coeffs[0], p.coeffs[1])]
-    bound = _cauchy_bound(p)
-    crit = real_roots(p.derivative(), width)
-    pts = [-bound] + sorted(c for c in crit if -bound < c < bound) + [bound]
-    roots: list[Fraction] = []
-    for lo, hi in zip(pts, pts[1:]):
-        slo, shi = p.sign_at(lo), p.sign_at(hi)
-        if slo == 0:
-            if not roots or roots[-1] != lo:
-                roots.append(lo)
-            continue
-        if shi == 0:
-            continue  # picked up as the lo endpoint of the next interval
-        if slo * shi < 0:
-            roots.append(_bisect(p, lo, hi, width))
-    if p.sign_at(pts[-1]) == 0:
-        roots.append(pts[-1])
-    return roots
+def _sturm_chain(p: IntPoly) -> list[IntPoly]:
+    """p, p', then each negated remainder of the two before it, until the
+    remainder vanishes; the last member is gcd(p, p') up to a constant."""
+    chain = [p, p.derivative()]
+    while (rem := _primitive([-c for c in _divmod(chain[-2], chain[-1])[1]])) is not None:
+        chain.append(rem)
+    return chain
 
 
-def largest_root(p: IntPoly, tol: float = 1e-12) -> float:
-    """Largest real root: exact bisection to width <= tol, then two Newton steps."""
+def _variations(chain: Sequence[IntPoly], x: Fraction) -> int:
+    """Sign changes along the chain at x, zeros skipped."""
+    signs = [s for s in (q.sign_at(x) for q in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def largest_root(p: IntPoly) -> float:
+    """Largest real root of p, correctly rounded to a float. Sturm's theorem
+    on the square-free part (Knuth, TAOCP vol. 2, 4.6.1) counts the roots in
+    (x, B], B the Cauchy bound; bisection keeps lo < root <= hi until both
+    ends round to one float, or to adjacent ones, split by their rounding tie."""
     if p.degree < 1:
         raise ValueError("polynomial must have degree >= 1")
-    width = Fraction(tol).limit_denominator(10**18)
-    if width <= 0:
-        width = Fraction(1, 10**14)
-    roots = real_roots(p, width)
-    if not roots:
+    chain = _sturm_chain(p)
+    if chain[-1].degree > 0:  # repeated roots: divide out gcd(p, p')
+        chain = _sturm_chain(_primitive(_divmod(p, chain[-1])[0]))
+    hi = 1 + Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.coeffs[-1]))
+    lo, top = -hi, _variations(chain, hi)
+    if _variations(chain, lo) == top:
         raise NoRealRootError("no real root inside the Cauchy bound")
-    x = float(max(roots))
-    dp = p.derivative()
-    for _ in range(2):
-        slope = dp.eval_float(x)
-        if slope == 0.0:
-            break
-        x -= p.eval_float(x) / slope
-    return x
+    while (f := float(lo)) != (g := float(hi)):
+        if math.nextafter(f, math.inf) == g:
+            tie = (Fraction(f) + Fraction(g)) / 2
+            if _variations(chain, tie) > top:
+                return g
+            return f if chain[0].sign_at(tie) else float(tie)
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _variations(chain, mid) > top else (lo, mid)
+    return g
 
 
 # ---------------------------------------------------------------------
@@ -383,15 +365,14 @@ class Lemma32Report:
         return out
 
 
-def _y_pipeline(r: int, n: int, tol: float, root_of: Optional[IntPoly] = None):
+def _y_pipeline(r: int, n: int, tol: float):
     """The quotient characteristic polynomial of y_graph(r, n), and the report
-    fields both pipelines share. The quotient root is taken of ``root_of``
-    when given, else of that polynomial. The dense radius is taken on the full
+    fields both pipelines share. The dense radius is taken on the full
     matrix: spectral_radius would solve y_graph on its twin classes, which are
     these cells, and so not check them independently."""
     g = y_graph(r, n)
     p = char_poly(quotient_matrix(g, y_graph_quotient_partition(r, n)))
-    rho_q = largest_root(p if root_of is None else root_of)
+    rho_q = largest_root(p)
     rho_d = _solve_dense(adjacency_matrix(g))[0]
     return p, dict(
         rho_quotient=rho_q,
@@ -409,8 +390,7 @@ def verify_lemma32(n: int, tol: float = 1e-8) -> Lemma32Report:
     if n < 9:
         raise ValueError("need n >= 9")
     closed = lemma32_polynomial(n)
-    # the root of the closed form as published: scaling would move its Newton floats
-    computed, shared = _y_pipeline(3, n, tol, root_of=closed)
+    computed, shared = _y_pipeline(3, n, tol)
     pairs = enumerate(zip_longest(computed.scale(729).coeffs, closed.coeffs))
     mismatch = next((idx for idx, (a, b) in pairs if a != b), None)  # None pads the shorter
     return Lemma32Report(

@@ -38,12 +38,13 @@ from .graphs import _family_pattern, _y_graph_cells
 from .spectral import TIE_TOL, rotate_edges, spectral_radius
 from .structure import (
     FeasibilityError,
+    _contract_twins,
+    _dsatur,
     _find_clique,
     chromatic_number,
     color_refine,
     contains_clique,
     is_complete_bipartite,
-    is_r_colorable,
     strip_isolated,
 )
 
@@ -274,6 +275,11 @@ def _free_of(prune_key, g: Graph) -> bool:
     return book is None or _find_clique(g.rows, range(g.n), *book) is None
 
 
+def _colorable(g: Graph, r: int) -> bool:
+    """r-colourability without a witness: DSATUR on the twin-contracted graph."""
+    return _dsatur(_contract_twins(g)[0].rows, r)[0] is not None
+
+
 @lru_cache(maxsize=64)
 def _census_cached(n: int, prune_key) -> tuple[Graph, ...]:
     """The order-n census pruned by ``prune_key``, certificate-labelled; the one
@@ -333,6 +339,8 @@ class PredicateSpec:
                 raise ValueError("forbid_book needs r >= 2 and k >= 1")
         if self.forbid_clique is not None and self.forbid_clique < 2:
             raise ValueError("forbid_clique needs a clique order >= 2")
+        if self.require_non_r_partite is not None and self.require_non_r_partite < 1:
+            raise ValueError("require_non_r_partite needs r >= 1")
 
     def prune_key(self) -> tuple:
         """Anti-monotone part, normalised: a (r,1) book is exactly K_{r+1}."""
@@ -349,9 +357,7 @@ class PredicateSpec:
 
     def _beyond_census(self, g: Graph) -> bool:
         """The non-hereditary constraints, which the pruned census does not enforce."""
-        if self.require_non_r_partite is not None and is_r_colorable(
-            g, self.require_non_r_partite
-        )[0]:
+        if self.require_non_r_partite is not None and _colorable(g, self.require_non_r_partite):
             return False
         return not self.require_connected or g.is_connected()
 
@@ -653,6 +659,9 @@ def conjecture_scan(
         raise FeasibilityError(
             f"enumeration guard: max_n <= {ENUMERATION_HARD_GUARD}, got {max_n}"
         )
+    first = 3 if kind == "liu_miao_U" else 1  # the order each sweep starts at
+    if max_n < first:
+        raise ValueError(f"the {kind} scan needs max_n >= {first}, got {max_n}")
     if kind == "nosal_book":
         return _scan_nosal(max_n, k, tol)
     if kind == "liu_miao_U":
@@ -728,7 +737,7 @@ def _scan_liu_miao(max_n: int, tol: float) -> ConjectureScanReport:
     by_m: dict[int, tuple[float, Graph]] = {}
     scanned = 0
     for g, m in _census_sweep(3, max_n, PredicateSpec(forbid_book=(2, 2)).prune_key()):
-        if is_r_colorable(g, 2)[0]:
+        if _colorable(g, 2):
             continue
         scanned += 1
         rho = _rho(g)

@@ -147,6 +147,8 @@ def spectral_radius(
         raise ValueError("spectral radius needs at least one vertex")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     comps = g.components()
     a = None  # the n x n matrix, built once a component needs it
     best: Optional[tuple[float, Sequence[int], np.ndarray, float, int]] = None

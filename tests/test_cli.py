@@ -349,6 +349,15 @@ def test_verify_trials_must_be_positive(capsys):
             assert "--trials" in err
 
 
+def test_spectrum_maxiter_must_be_positive(capsys, monkeypatch):
+    # zero iterations used to end as an internal ConvergenceError (exit 3)
+    for maxiter in ("0", "-3"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(path_graph(100)) + "\n"))
+        code, out, err = run(capsys, "spectrum", "--in", "-", "--maxiter", maxiter)
+        assert code == 2 and out == ""
+        assert "--maxiter" in err
+
+
 def strict_json(text):
     def reject(name):
         raise AssertionError(f"non-strict JSON constant {name}")
@@ -414,6 +423,12 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, "search", mode, "--n", "-1", "--forbid-clique", "3")
         assert code == 2 and out == ""
         assert "order must be nonnegative" in err
+    code, out, err = run(capsys, "search", "spex", "--n", "5", "--non-r-partite", "0")
+    assert code == 2 and out == "" and "require_non_r_partite needs r >= 1" in err
+    # a sweep over no order is refused, not reported as an empty pass
+    for kind, max_n in [("nosal_book", "0"), ("sqrt_2m_bound", "-1"), ("liu_miao_U", "2")]:
+        code, out, err = run(capsys, "scan", "--kind", kind, "--max-n", max_n)
+        assert code == 2 and out == "" and "needs max_n >=" in err
 
 
 def test_search_ex_csv_bytes(capsys):

@@ -3,10 +3,13 @@
 six-cell verification pipeline with its closed-form coefficients."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spexlab.graphs import cycle_graph, graph6_encode, make_multipartite, turan, y_graph
 from spexlab.quotient import (
@@ -123,11 +126,77 @@ def test_largest_root_knowns():
     assert largest_root(IntPoly.of([-1, 0, 1])) == pytest.approx(1.0, abs=1e-12)
     assert largest_root(IntPoly.of([1, 1])) == pytest.approx(-1.0, abs=1e-12)
     # double root at the maximum: (x-2)^2 (x+1)
-    assert largest_root(IntPoly.of([4, 0, -3, 1])) == pytest.approx(2.0, abs=1e-6)
+    assert largest_root(IntPoly.of([4, 0, -3, 1])) == 2.0
     with pytest.raises(NoRealRootError):
         largest_root(IntPoly.of([1, 0, 1]))
     with pytest.raises(ValueError):
         largest_root(IntPoly.of([3]))
+
+
+def test_largest_root_repeated_roots():
+    # (3x-1)^2 (x+2): a root finder blind to multiplicity answers -2
+    assert largest_root(IntPoly.of([2, -11, 12, 9])) == 1 / 3
+    # x^2 (x-3): the double root 0 is the first midpoint of [-B, B]
+    assert largest_root(IntPoly.of([0, 0, -3, 1])) == 3.0
+    assert largest_root(IntPoly.of([0, 0, 0, 1])) == 0.0
+    with pytest.raises(NoRealRootError):
+        largest_root(IntPoly.of([1, 0, 2, 0, 1]))  # (x^2+1)^2
+
+
+def test_largest_root_at_and_near_rounding_ties():
+    # floats are 2 apart above 2**53; odd integers there are ties, rounded to even
+    big = 2**53
+    for root, expect in [(big + 1, big), (big + 3, big + 4),
+                         (Fraction(4 * big + 11, 4), big + 2), (Fraction(4 * big + 13, 4), big + 4)]:
+        root = Fraction(root)
+        assert largest_root(IntPoly.of([-root.numerator, root.denominator])) == expect
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-40, 40), st.integers(1, 12), st.integers(1, 3)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.booleans(),
+)
+def test_largest_root_of_rational_factors(factors, times_x2_plus_1):
+    # prod (den x - num)^mult, sometimes times x^2 + 1, which adds no real root
+    coeffs = [1, 0, 1] if times_x2_plus_1 else [1]
+    for num, den, mult in factors:
+        for _ in range(mult):
+            coeffs = poly_mul(coeffs, [-num, den])
+    expect = float(max(Fraction(num, den) for num, den, _ in factors))
+    assert largest_root(IntPoly.of(coeffs)) == expect
+
+
+def y_quotient_poly(r, n):
+    return char_poly(quotient_matrix(y_graph(r, n), y_graph_quotient_partition(r, n)))
+
+
+ROUNDING_CASES = {f"lemma32-{n}": lemma32_polynomial(n) for n in (10, 1500, 6000)} | {
+    f"y{r}-{n}": y_quotient_poly(r, n) for r, n in [(4, 12), (4, 21), (4, 200), (5, 18)]
+}
+
+
+@pytest.mark.parametrize("p", ROUNDING_CASES.values(), ids=ROUNDING_CASES.keys())
+def test_largest_root_is_correctly_rounded(p):
+    # the root lies within half an ulp of the returned float: p changes sign
+    # between f - ulp/2 and f + ulp/2, or vanishes at one end
+    f = largest_root(p)
+    half = Fraction(math.ulp(f)) / 2
+    below, above = p.sign_at(Fraction(f) - half), p.sign_at(Fraction(f) + half)
+    assert below * above <= 0, (f, below, above)
+    assert largest_root(p.scale(729)) == f
 
 
 def test_lemma32_polynomial_branches():

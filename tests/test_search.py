@@ -320,6 +320,8 @@ def test_predicate_spec_validation():
         PredicateSpec()
     with pytest.raises(ValueError):
         PredicateSpec(forbid_book=(1, 1))
+    with pytest.raises(ValueError, match="require_non_r_partite"):
+        PredicateSpec(forbid_clique=3, require_non_r_partite=0)
     p = PredicateSpec(forbid_book=(3, 1))
     assert p.prune_key() == (4, None)
     p = PredicateSpec(forbid_clique=3, forbid_book=(2, 2))
@@ -666,3 +668,7 @@ def test_scan_guard_and_unknown_kind():
         conjecture_scan("nosal_book", 12)
     with pytest.raises(ValueError):
         conjecture_scan("nope", 5)
+    for kind, first in [("nosal_book", 1), ("liu_miao_U", 3), ("sqrt_2m_bound", 1)]:
+        with pytest.raises(ValueError, match=f"max_n >= {first}"):
+            conjecture_scan(kind, first - 1)
+        assert conjecture_scan(kind, first).scanned == 1

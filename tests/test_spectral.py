@@ -261,6 +261,9 @@ def test_convergence_error_carries_residual():
         spectral_radius(path_graph(100), tol=1e-14, max_iter=3)
     assert ei.value.residual > 0
     assert ei.value.iterations == 3
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError, match="max_iter"):
+            spectral_radius(path_graph(100), max_iter=max_iter)
 
 
 def test_isolated_vertex_and_trivial_graphs():
