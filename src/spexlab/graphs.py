@@ -199,10 +199,11 @@ def _bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:
 
 
 def _matrix_rows(a: np.ndarray) -> tuple[int, ...]:
-    """Rows of a 0/1 matrix as ints, bit j of row i set iff a[i, j]; the inverse
-    of ``_bit_matrix``."""
+    """Rows of the symmetric closure of a 0/1 matrix whose strict lower triangle
+    is set, as ints; closes ``a`` in place, one 64-row block before packing it."""
     rows = []
     for lo in range(0, len(a), 64):  # 64 rows at a time: the packed copies stay small
+        a[lo : lo + 64, lo:] |= a[lo:, lo : lo + 64].T  # numpy buffers the diagonal block
         packed = np.packbits(a[lo : lo + 64], axis=1, bitorder="little")
         w, raw = packed.shape[1], packed.tobytes()
         rows += [int.from_bytes(raw[i * w : (i + 1) * w], "little") for i in range(len(packed))]
@@ -444,10 +445,6 @@ class FamilySpec:
 # 6-bit groups, each stored as one printable byte value 63..126.
 
 
-# the six payload bits of every byte value, most significant first
-_G6_BITS = np.unpackbits((np.arange(256) - 63).astype(np.uint8)[:, None] << 2, axis=1, count=6)
-
-
 def _six_bit_chars(x: int, k: int) -> str:
     """x as k printable 6-bit groups, most significant first."""
     return "".join(chr(63 + ((x >> (6 * t)) & 63)) for t in reversed(range(k)))
@@ -504,13 +501,10 @@ def graph6_decode(text: str) -> Graph:
     # padding fills the low bits of the last byte
     if nbytes and (raw[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
         raise Graph6ParseError("nonzero padding bits", pos + nbytes - 1)
-    stream = _G6_BITS[codes[pos:]].reshape(-1)
-    # column j of the upper triangle is row j of the lower one; filling row by row
-    # keeps the large temporaries (freed ones stay resident) to a and a.T
-    a = np.zeros((n, n), dtype=np.uint8)
+    stream = np.unpackbits((codes[pos:] - 63)[:, None] << 2, axis=1, count=6).reshape(-1)
+    a = np.zeros((n, n), dtype=np.uint8)  # column j of the upper triangle is row j of the lower
     start = 0
     for j in range(1, n):
         a[j, :j] = stream[start : start + j]
         start += j
-    a |= a.T
     return Graph._unchecked(n, _matrix_rows(a))

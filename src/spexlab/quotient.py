@@ -207,7 +207,8 @@ def largest_root(p: IntPoly) -> float:
     """Largest real root of p, correctly rounded to a float. Sturm's theorem
     on the square-free part (Knuth, TAOCP vol. 2, 4.6.1) counts the roots in
     (x, B], B the Cauchy bound; bisection keeps lo < root <= hi until both
-    ends round to one float, or to adjacent ones, split by their rounding tie."""
+    ends round to one float, or to adjacent ones, split by their rounding tie.
+    Raises OverflowError if the root rounds past the float range."""
     if p.degree < 1:
         raise ValueError("polynomial must have degree >= 1")
     chain = _sturm_chain(p)
@@ -217,6 +218,12 @@ def largest_root(p: IntPoly) -> float:
     lo, top = -hi, _variations(chain, hi)
     if _variations(chain, lo) == top:
         raise NoRealRootError("no real root inside the Cauchy bound")
+    big = Fraction(2**1024 - 2**971)  # the largest float; its tie with inf is big + 2**970
+    if hi > big:  # a root past big short of that tie rounds to big: stop the ends there
+        edge = big + 2**970
+        if _variations(chain, -edge) == top or _variations(chain, edge) > top or p(edge) == 0:
+            raise OverflowError("the largest root rounds past the float range")
+        lo, hi = -big, big
     while (f := float(lo)) != (g := float(hi)):
         if math.nextafter(f, math.inf) == g:
             tie = (Fraction(f) + Fraction(g)) / 2

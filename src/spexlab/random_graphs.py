@@ -17,8 +17,7 @@ def _graph_from_pairs(n: int, pairs: np.ndarray, p: float, rng: np.random.Genera
     """Keep each pair marked in the boolean strict upper triangle ``pairs`` with
     probability p; the draws fill the marked cells in row-major order."""
     a = np.zeros((n, n), dtype=np.uint8)
-    a[pairs] = rng.random(np.count_nonzero(pairs)) < p
-    a |= a.T
+    a.T[pairs] = rng.random(np.count_nonzero(pairs)) < p  # into the lower triangle
     return Graph._unchecked(n, _matrix_rows(a))
 
 

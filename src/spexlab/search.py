@@ -662,6 +662,8 @@ def conjecture_scan(
     first = 3 if kind == "liu_miao_U" else 1  # the order each sweep starts at
     if max_n < first:
         raise ValueError(f"the {kind} scan needs max_n >= {first}, got {max_n}")
+    if not 0 <= tol < math.inf:  # nan fails too
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     if kind == "nosal_book":
         return _scan_nosal(max_n, k, tol)
     if kind == "liu_miao_U":

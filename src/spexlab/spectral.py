@@ -145,8 +145,8 @@ def spectral_radius(
     """
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # nan fails too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     comps = g.components()

@@ -525,13 +525,8 @@ def strip_isolated(g: Graph) -> Graph:
 
 
 def is_complete_bipartite(g: Graph, ignore_isolated: bool = True) -> bool:
-    """Is g a complete bipartite graph (optionally up to isolated vertices)?"""
+    """Is g a complete bipartite graph (optionally up to isolated vertices)?
+    Edgeless counts. Otherwise it must have exactly two open-twin classes: two
+    adjacent twins would each lie in the other's neighbourhood, a loop."""
     h = strip_isolated(g) if ignore_isolated else g
-    if h.n == 0:
-        return True  # edgeless
-    ok, colors = is_r_colorable(h, 2)
-    if not ok:
-        return False
-    a = sum(1 for c in colors if c == 0)
-    b = h.n - a
-    return h.edge_count == a * b
+    return h.edge_count == 0 or len(_twin_classes(h.rows, range(h.n))) == 2

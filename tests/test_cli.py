@@ -358,6 +358,20 @@ def test_spectrum_maxiter_must_be_positive(capsys, monkeypatch):
         assert "--maxiter" in err
 
 
+def test_tol_must_be_a_finite_number(capsys, monkeypatch):
+    # nan used to pass every scan comparison (0 violations over 0 witnesses) and
+    # to run spectrum to --maxiter; a negative scan tol flagged every class
+    for tol in ("nan", "-1"):
+        code, out, err = run(capsys, "scan", "--kind", "nosal_book", "--max-n", "6",
+                             "--k", "2", "--tol", tol)
+        assert code == 2 and out == "" and "tol must be nonnegative and finite" in err
+    g = random_graph(100, 0.3, np.random.default_rng(0))
+    for tol in ("nan", "0", "inf"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(g) + "\n"))
+        code, out, err = run(capsys, "spectrum", "--in", "-", "--tol", tol)
+        assert code == 2 and out == "" and "tol must be positive and finite" in err
+
+
 def strict_json(text):
     def reject(name):
         raise AssertionError(f"non-strict JSON constant {name}")
@@ -498,6 +512,28 @@ def test_scan_digests(capsys, argv, digest):
     # sha256 of the whole stdout of the other two scans over the census sweep
     code, out, _ = run(capsys, "scan", "--kind", *argv)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["wilf", "--r", "3", "--n-max", "200", "--trials", "200", "--seed", "0"],
+     "2f8ab8ba7990aeeb2d0189633d5c288f22ec1abe3c672e40dea2350d73b27a95"),
+    (["rotation", "--trials", "500", "--seed", "0"],
+     "61f3df3c5676b22da28dd30a8dba62d61d2ed63ff8a9d5c1e1cb5199ac61d27f"),
+], ids=["wilf", "rotation"])
+def test_verify_random_suite_digests(capsys, argv, digest):
+    # sha256 of the whole stdout; both draw their graphs through random_graphs
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_spectrum_digest_on_large_family_graphs(capsys, monkeypatch):
+    # sha256 of the whole stdout; the two graphs are decoded from graph6
+    text = graph6_encode(y_graph(3, 3200)) + "\n" + graph6_encode(turan(4, 1200)) + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "spectrum", "--in", "-")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+        "9c53047aa43dea7806143073011299ef9a3761028abbf929946f6d41797a7558"
+    )
 
 
 def test_search_spex_order_zero(capsys):

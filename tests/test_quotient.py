@@ -152,6 +152,21 @@ def test_largest_root_at_and_near_rounding_ties():
         assert largest_root(IntPoly.of([-root.numerator, root.denominator])) == expect
 
 
+def test_largest_root_beyond_the_float_range():
+    # Cauchy bounds of about 1e400 used to overflow float() at a bisection end
+    assert largest_root(IntPoly.of([-10**400, 0, 1])) == 1e200
+    assert largest_root(IntPoly.of(poly_mul([-1, 1], [10**400, 1]))) == 1.0
+    with pytest.raises(OverflowError, match="rounds past the float range"):
+        largest_root(IntPoly.of([-10**400, 1]))
+    # 2**1024 - 2**970 is the rounding tie between the largest float and inf
+    tie = 2**1024 - 2**970
+    assert largest_root(IntPoly.of([-(tie - 1), 1])) == 1.7976931348623157e308
+    assert largest_root(IntPoly.of([tie - 1, 1])) == -1.7976931348623157e308
+    for c in (-tie, tie):
+        with pytest.raises(OverflowError, match="rounds past the float range"):
+            largest_root(IntPoly.of([c, 1]))
+
+
 def poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

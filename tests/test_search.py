@@ -672,3 +672,7 @@ def test_scan_guard_and_unknown_kind():
         with pytest.raises(ValueError, match=f"max_n >= {first}"):
             conjecture_scan(kind, first - 1)
         assert conjecture_scan(kind, first).scanned == 1
+        # a nan tol passed every comparison vacuously, a negative one failed them all
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+                conjecture_scan(kind, first, tol=tol)

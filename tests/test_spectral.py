@@ -264,6 +264,10 @@ def test_convergence_error_carries_residual():
     for max_iter in (0, -3):
         with pytest.raises(ValueError, match="max_iter"):
             spectral_radius(path_graph(100), max_iter=max_iter)
+    # a nan tol used to run to max_iter and end in ConvergenceError
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            spectral_radius(path_graph(100), tol=tol)
 
 
 def test_isolated_vertex_and_trivial_graphs():

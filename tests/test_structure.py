@@ -538,3 +538,20 @@ def test_complete_bipartite_predicate():
     assert not is_complete_bipartite(path_graph(4))
     assert not is_complete_bipartite(cycle_graph(5))
     assert not is_complete_bipartite(u_graph(5))
+
+
+def brute_complete_bipartite(g: Graph) -> bool:
+    """Some 2-partition of the vertices has every cross pair, and only those, as edges."""
+    return any(
+        all(g.has_edge(i, j) == (((side >> i) ^ (side >> j)) & 1 == 1)
+            for i, j in combinations(range(g.n), 2))
+        for side in range(1 << g.n)
+    )
+
+
+def test_complete_bipartite_predicate_matches_brute_force():
+    for n in range(8):
+        for g in _census_cached(n, (None, None)):
+            h = g.induced([v for v in range(g.n) if g.rows[v]])
+            assert is_complete_bipartite(g) == brute_complete_bipartite(h)
+            assert is_complete_bipartite(g, ignore_isolated=False) == brute_complete_bipartite(g)
