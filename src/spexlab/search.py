@@ -7,11 +7,11 @@ isomorphism: colour refinement plus individualisation (McKay & Piperno,
 "Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014), keeping the
 smallest relabelled row tuple over the leaves of the search tree; those rows
 are a graph of the class and represent it inside the enumeration. The
-canonical form is the published representative: the lexicographically minimal
-upper-triangle bit string over all vertex orderings (read column by column, so
-each new vertex appends its adjacency to the previous ones), found by a
-branch-and-bound that prunes by prefix dominance against the best string found
-and by twin-class symmetry. It is computed only where a graph is printed.
+canonical form is the published representative: the lex-min upper-triangle
+bit string over all vertex orderings (read column by column, so each new vertex
+appends its adjacency to the previous ones), found by a branch-and-bound that
+prunes by prefix dominance against the best string and by twin-class symmetry.
+It is made only for what is printed, and for float near-ties, decided as printed.
 
 The enumeration adds one edge at a time and certifies a child only when the
 added edge maximises an isomorphism-invariant edge key (degree sum, smaller
@@ -293,17 +293,16 @@ def _census_cached(n: int, prune_key) -> tuple[Graph, ...]:
     return tuple(_orderly_levels(n, partial(_free_of, prune_key)))
 
 
-@lru_cache(maxsize=64)
-def _published_census(n: int, prune_key) -> tuple[Graph, ...]:
-    """The census as published: lex-min representatives ordered by (edges, graph6)."""
-    forms = [canonical_form(g) for g in _census_cached(n, prune_key)]
-    return tuple(sorted(forms, key=lambda g: (g.edge_count, graph6_encode(g))))
+def _published(graphs: Iterable[Graph]) -> list[Graph]:
+    """The lex-min forms of ``graphs`` in published order: (order, edges, graph6)."""
+    forms = [canonical_form(g) for g in graphs]
+    return sorted(forms, key=lambda g: (g.n, g.edge_count, graph6_encode(g)))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """One canonical (lex-min) representative per isomorphism class of order
     n, ascending by edge count then by canonical string. Guarded at n <= 10."""
-    yield from _published_census(n, (None, None))
+    yield from _published(_census_cached(n, (None, None)))
 
 
 # ---------------------------------------------------------------------
@@ -537,6 +536,8 @@ def lemma27_scan(r: int, n: int, unique_margin: float = 1e-9) -> FamilyScanRepor
         raise ValueError("need r >= 2")
     if n < 2 * r:
         raise ValueError("need n >= 2r")
+    if not 0 <= unique_margin < math.inf:  # nan fails too
+        raise ValueError(f"unique_margin must be nonnegative and finite, got {unique_margin}")
     configs = list(_family_configs(r, n))  # meets the guard before any eigensolve
     y_key = _family_y_key(r, n)
     c = _family_pattern(r)
@@ -576,6 +577,8 @@ def hill_climb(
     predicate from scratch; a move is taken only if it raises the spectral
     radius by more than ``accept_tol``.
     """
+    if not 0 <= accept_tol < math.inf:  # nan fails too
+        raise ValueError(f"accept_tol must be nonnegative and finite, got {accept_tol}")
     if not pred.satisfies(g0):
         raise ValueError("start graph violates the predicate")
     g = g0
@@ -677,12 +680,12 @@ def census_rows(n: int) -> Iterator[dict]:
     """Full-census dump rows: one dict per isomorphism class of order n with
     its graph6 string, order, size, spectral radius, chromatic number, and
     connectivity/bipartiteness flags."""
-    for g, m in _census_sweep(n, n, (None, None)):
+    for g in _published(_census_cached(n, (None, None))):
         chi = chromatic_number(g)
         yield {
             "graph6": graph6_encode(g),
             "n": g.n,
-            "m": m,
+            "m": g.edge_count,
             "rho": _rho(g),
             "chi": chi,
             "connected": g.is_connected(),
@@ -709,77 +712,78 @@ def write_census(n: int, g6_path, csv_path) -> int:
 
 
 def _census_sweep(lo: int, max_n: int, prune_key) -> Iterator[tuple[Graph, int]]:
-    """Every published class of order lo..max_n under ``prune_key``, with its edge count."""
+    """Every certificate-labelled class of order lo..max_n under ``prune_key``,
+    with its edge count; a scan decides each here and publishes what it prints."""
     for n in range(lo, max_n + 1):
-        for g in _published_census(n, prune_key):
+        for g in _census_cached(n, prune_key):
             yield g, g.edge_count
 
 
-def _scan_nosal(max_n: int, k: int, tol: float) -> ConjectureScanReport:
-    violations, witnesses = [], []
-    scanned = 0
-    for g, m in _census_sweep(1, max_n, PredicateSpec(forbid_book=(2, k)).prune_key()):
+def _bound_sweep(max_n: int, book: tuple[int, int], c: float,
+                 tol: float) -> tuple[int, list[Graph], list[Graph]]:
+    """The B(book)-free classes of order 1..max_n against rho <= sqrt(c m): their
+    count, violations and equality witnesses (|rho - bound| <= tol). A class
+    within TIE_TOL of either edge is decided on its lex-min form, as printed."""
+    scanned, violations, witnesses = 0, [], []
+    for g, m in _census_sweep(1, max_n, PredicateSpec(forbid_book=book).prune_key()):
         scanned += 1
-        rho, bound = _rho(g), math.sqrt(m)
+        rho, bound = _rho(g), math.sqrt(c * m)
+        if abs(abs(rho - bound) - tol) <= TIE_TOL:
+            rho = _rho(_published([g])[0])
         if rho > bound + tol:
-            violations.append({"graph6": graph6_encode(g), "rho": rho, "bound": bound})
+            violations.append(g)
         elif abs(rho - bound) <= tol:
             witnesses.append(g)
+    return scanned, violations, witnesses
+
+
+def _scan_nosal(max_n: int, k: int, tol: float) -> ConjectureScanReport:
+    scanned, violations, witnesses = _bound_sweep(max_n, (2, k), 1, tol)
     return ConjectureScanReport(
         kind="nosal_book",
         params={"max_n": max_n, "k": k},
         scanned=scanned,
-        violations=tuple(violations),
-        equality_witnesses=tuple(graph6_encode(g) for g in witnesses),
+        violations=tuple({"graph6": graph6_encode(g), "rho": _rho(g),
+                          "bound": math.sqrt(g.edge_count)} for g in _published(violations)),
+        equality_witnesses=tuple(graph6_encode(g) for g in _published(witnesses)),
         witnesses_all_complete_bipartite=all(is_complete_bipartite(g) for g in witnesses),
     )
 
 
 def _scan_liu_miao(max_n: int, tol: float) -> ConjectureScanReport:
-    by_m: dict[int, tuple[float, Graph]] = {}
-    scanned = 0
+    by_m: dict[int, list[tuple[float, Graph]]] = {}
     for g, m in _census_sweep(3, max_n, PredicateSpec(forbid_book=(2, 2)).prune_key()):
-        if _colorable(g, 2):
-            continue
-        scanned += 1
-        rho = _rho(g)
-        if m not in by_m or rho > by_m[m][0]:
-            by_m[m] = (rho, g)
+        if not _colorable(g, 2):
+            by_m.setdefault(m, []).append((_rho(g), g))
     champions, violations = [], []
     for m in sorted(by_m):
-        rho, g = by_m[m]
-        u = u_graph(m)
-        rho_u = spectral_radius(u).rho
-        is_u = are_isomorphic(strip_isolated(g), u)
-        entry = {
-            "m": m,
-            "champion_graph6": graph6_encode(g),
-            "champion_rho": rho,
-            "u_rho": rho_u,
-            "champion_is_u": is_u,
-        }
+        # a relabelling moves rho by ulps: the lex-min forms near the top decide
+        top = max(rho for rho, _ in by_m[m])
+        g = max(_published(h for rho, h in by_m[m] if rho >= top - TIE_TOL), key=_rho)
+        rho, u = _rho(g), u_graph(m)
+        entry = {"m": m, "champion_graph6": graph6_encode(g), "champion_rho": rho,
+                 "u_rho": spectral_radius(u).rho,
+                 "champion_is_u": are_isomorphic(strip_isolated(g), u)}
         champions.append(entry)
-        if rho > rho_u + tol:
+        if rho > entry["u_rho"] + tol:
             violations.append(entry)
     return ConjectureScanReport(
         kind="liu_miao_U",
         params={"max_n": max_n},
-        scanned=scanned,
+        scanned=sum(map(len, by_m.values())),
         violations=tuple(violations),
         per_edge_champions=tuple(champions),
     )
 
 
 def _scan_sqrt_2m(max_n: int, r: int, k: int, tol: float) -> ConjectureScanReport:
-    violations, scanned = [], 0
-    for g, m in _census_sweep(1, max_n, PredicateSpec(forbid_book=(r, k)).prune_key()):
-        scanned += 1
-        rho, bound = _rho(g), math.sqrt((1.0 - 1.0 / r) * 2.0 * m)
-        if rho > bound + tol:
-            violations.append({"graph6": graph6_encode(g), "rho": rho, "bound": bound, "m": m})
+    c = (1.0 - 1.0 / r) * 2.0
+    scanned, violations, _ = _bound_sweep(max_n, (r, k), c, tol)
     return ConjectureScanReport(
         kind="sqrt_2m_bound",
         params={"max_n": max_n, "r": r, "k": k},
         scanned=scanned,
-        violations=tuple(violations),
+        violations=tuple({"graph6": graph6_encode(g), "rho": _rho(g),
+                          "bound": math.sqrt(c * g.edge_count), "m": g.edge_count}
+                         for g in _published(violations)),
     )

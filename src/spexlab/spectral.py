@@ -202,6 +202,8 @@ def check_wilf(g: Graph, r: int, tol: float = 1e-9) -> WilfReport:
     """Compare rho(g) against (1 - 1/r) n; caller guarantees no (r+1)-clique."""
     if r < 1:
         raise ValueError("need r >= 1")
+    if not 0 <= tol < math.inf:  # nan fails too
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     bound = (1.0 - 1.0 / r) * g.n
     rho = spectral_radius(g).rho
     return WilfReport(bound=bound, rho=rho, holds=rho <= bound + tol)
@@ -220,6 +222,8 @@ def deletion_bound(g: Graph, v: int, tol: float = 1e-8) -> DeletionBoundReport:
     d = g.degree(v)
     if d < 1:
         raise ValueError("vertex must have degree at least 1")
+    if not 0 <= tol < math.inf:  # nan fails too
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     lhs = spectral_radius(g).rho
     rho_del = spectral_radius(g.delete_vertex(v)).rho if g.n > 1 else 0.0
     rhs = math.sqrt(rho_del * rho_del + 2.0 * d - 1.0)

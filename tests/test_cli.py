@@ -472,8 +472,7 @@ def test_search_spex_bytes(capsys):
 
 
 def test_scan_bytes(capsys):
-    # the scans walk the published census: lex-min strings in (edges, graph6)
-    # order
+    # a scan prints lex-min strings in (order, edges, graph6) order
     code, out, _ = run(capsys, "scan", "--kind", "nosal_book", "--max-n", "6", "--k", "2")
     assert code == 0
     assert out == (
@@ -507,9 +506,20 @@ def test_scan_bytes(capsys):
      "7957d71f43142633a942e36846ca42c3718dfc3df6471afef8690c2b609fc79a"),
     (["sqrt_2m_bound", "--max-n", "7", "--r", "3", "--k", "1"],
      "91fe1b76703374bdc1eb7f72202ee89ee64e1e80fce67df12cc74cbdcfdc37a7"),
-], ids=["liu_miao_U", "sqrt_2m_bound"])
+    (["liu_miao_U", "--max-n", "8"],
+     "e1b008c92d0847621a1f0a5cd7a37be303e4255d2be4d75fdf17c025f406bae8"),
+    (["nosal_book", "--max-n", "8", "--k", "2"],
+     "14256dc8284c86ed9a2cc0ce36633d56be225c309fef4d974ae570a9caf1b892"),
+    (["sqrt_2m_bound", "--max-n", "8", "--r", "3", "--k", "1"],
+     "479782bbb8a1d5cb082ee4111f787a46b59c1c4647b9113ebbe6594b601ef1dd"),
+    (["sqrt_2m_bound", "--max-n", "7", "--r", "2", "--k", "3"],
+     "c6b7ae7f6827ae3579fcb2d22a7ba068b8908dc077fbedeb5d9594d49e482db2"),
+], ids=["liu_miao_U", "sqrt_2m_bound", "liu_miao_U-8", "nosal_book-8", "sqrt_2m_bound-8",
+        "sqrt_2m_bound-r2k3"])
 def test_scan_digests(capsys, argv, digest):
-    # sha256 of the whole stdout of the other two scans over the census sweep
+    # sha256 of the whole stdout of a scan: each prints its violations,
+    # witnesses and champions in (order, edges, graph6) order; sqrt_2m_bound
+    # at r = 2, k = 3 prints 325 violations
     code, out, _ = run(capsys, "scan", "--kind", *argv)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -48,7 +48,7 @@ from spexlab.search import (
     lemma27_scan,
     spex_search,
 )
-from spexlab.spectral import spectral_radius
+from spexlab.spectral import TIE_TOL, spectral_radius
 from spexlab.structure import (
     FeasibilityError,
     contains_clique,
@@ -58,13 +58,18 @@ from spexlab.structure import (
 
 
 def brute_canonical_graph6(g: Graph) -> str:
-    """Minimum graph6 string over all relabelings, no pruning."""
-    best = None
-    for perm in permutations(range(g.n)):
-        s = graph6_encode(g.relabel(perm))
-        if best is None or s < best:
-            best = s
-    return best
+    """Minimum graph6 string over all relabelings, no pruning. The strings of
+    one order share their length and header, and graph6 maps each 6-bit group
+    of the column-major upper triangle monotonically to one byte, so the
+    minimal bit tuple is found first and encoded once, here, without the
+    package's encoder."""
+    n = g.n
+    adj = [[(g.rows[u] >> v) & 1 for v in range(n)] for u in range(n)]
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    best = min(tuple(adj[p[i]][p[j]] for i, j in pairs) for p in permutations(range(n)))
+    padded = best + (0,) * (-len(best) % 6)
+    groups = (padded[t:t + 6] for t in range(0, len(padded), 6))
+    return chr(63 + n) + "".join(chr(63 + int("".join(map(str, b)), 2)) for b in groups)
 
 
 def burnside_graph_count(n: int) -> int:
@@ -251,6 +256,53 @@ def test_searches_canonicalise_only_the_champions(monkeypatch):
         rep = search(7, PredicateSpec(forbid_clique=4))
         assert len(rep.champions) == 1
         assert len(calls) == 1, search.__name__
+
+
+def test_scans_canonicalise_only_what_they_print(monkeypatch):
+    calls = []
+    real = search.canonical_perm
+    monkeypatch.setattr(search, "canonical_perm", lambda g: calls.append(g) or real(g))
+
+    def scan(*args, **kwargs):
+        for f in vars(search).values():  # every census cache: nothing published in advance
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+        calls.clear()
+        return conjecture_scan(*args, **kwargs), len(calls)
+
+    rep, count = scan("nosal_book", 6, k=2)
+    assert (rep.scanned, len(rep.violations), len(rep.equality_witnesses)) == (107, 17, 31)
+    assert count == 48
+    rep, count = scan("sqrt_2m_bound", 7, r=3, k=1)
+    assert (rep.scanned, count) == (851, 0)
+    rep, count = scan("sqrt_2m_bound", 7, r=2, k=3)
+    assert count == len(rep.violations) == 325
+    rep, count = scan("liu_miao_U", 7)
+    # the champion is decided on lex-min forms among the classes whose rho is
+    # within TIE_TOL of the largest at their edge count, and only those
+    by_m = {}
+    for n in range(3, 8):
+        for g in _census_cached(n, PredicateSpec(forbid_book=(2, 2)).prune_key()):
+            if not is_r_colorable(g, 2)[0]:
+                by_m.setdefault(g.edge_count, []).append(spectral_radius(g).rho)
+    window = sum(rho >= max(rhos) - TIE_TOL for rhos in by_m.values() for rho in rhos)
+    assert count == window == 24 and len(rep.per_edge_champions) == len(by_m) == 9
+
+
+def test_bound_scans_decide_near_ties_on_the_printed_form(monkeypatch):
+    # rho(GBj^V_) = 4 = sqrt(16) exactly; eigh gives 4.0 on its certificate
+    # labelling and 4.000000000000001 on its lex-min form, which is printed.
+    # At tol 0 the scans must report it as they did when they read lex-min
+    # forms only: as a violation
+    lexmin = graph6_decode("GBj^V_")
+    cert = Graph(8, canonical_certificate(lexmin))
+    assert (spectral_radius(cert).rho, spectral_radius(lexmin).rho) == (4.0, 4.000000000000001)
+    monkeypatch.setattr(search, "_census_cached", lambda n, key: (cert,) if n == 8 else ())
+    rep = conjecture_scan("sqrt_2m_bound", 8, r=2, k=3, tol=0.0)
+    assert rep.violations == ({"graph6": "GBj^V_", "rho": 4.000000000000001, "bound": 4.0, "m": 16},)
+    rep = conjecture_scan("nosal_book", 8, k=3, tol=0.0)
+    assert rep.violations == ({"graph6": "GBj^V_", "rho": 4.000000000000001, "bound": 4.0},)
+    assert rep.equality_witnesses == ()
 
 
 def test_triangle_free_counts_match_oeis():
@@ -592,6 +644,15 @@ def test_lemma27_scan_builds_no_graph(monkeypatch):
     assert rep.argmax_is_y and rep.unique and rep.configs_scanned > 1
 
 
+@pytest.mark.parametrize("margin", [-1.0, math.nan, math.inf])
+def test_lemma27_scan_unique_margin_must_be_a_number(margin):
+    # a nan margin reported unique=False at a gap of 0.00357; a negative one
+    # would count a tie (gap 0) as unique
+    with pytest.raises(ValueError, match="unique_margin must be nonnegative and finite"):
+        lemma27_scan(3, 9, unique_margin=margin)
+    assert lemma27_scan(3, 9, unique_margin=0.0).unique
+
+
 def test_family_scan_guard_counts_while_enumerating():
     seen = 0
     with pytest.raises(FeasibilityError, match=f"family scan guard: more than {FAMILY_CONFIG_GUARD}"):
@@ -615,6 +676,17 @@ def test_hill_climb_from_cycle():
 def test_hill_climb_rejects_bad_start():
     with pytest.raises(ValueError):
         hill_climb(complete_graph(4), PredicateSpec(forbid_clique=3), budget=3)
+
+
+@pytest.mark.parametrize("accept_tol", [-1.0, math.nan, math.inf])
+def test_hill_climb_accept_tol_must_be_a_number(accept_tol):
+    # a negative accept_tol took a descending step from C_5 (remove 1-3, rho
+    # 2.449 -> 2.136); a nan one took no step at all
+    pred = PredicateSpec(forbid_clique=3)
+    with pytest.raises(ValueError, match="accept_tol must be nonnegative and finite"):
+        hill_climb(cycle_graph(5), pred, budget=3, accept_tol=accept_tol)
+    _, trace = hill_climb(cycle_graph(5), pred, budget=3, accept_tol=0.0)
+    assert len(trace) == 2 and trace[0].rho < trace[1].rho
 
 
 def test_hill_climb_trace_graphs_keep_predicate():

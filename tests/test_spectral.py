@@ -191,6 +191,22 @@ def test_deletion_bound_equality_cases():
         deletion_bound(disjoint_union(complete_graph(2), empty_graph(1)), 2)
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_check_wilf_tol_must_be_a_number(tol):
+    # a nan tol reported holds=False for T_3(9), whose rho equals the bound
+    with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+        check_wilf(turan(3, 9), 3, tol=tol)
+    assert check_wilf(turan(3, 9), 3, tol=0.0).rho == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_deletion_bound_tol_must_be_a_number(tol):
+    # an infinite tol flagged equality for P_4 at lhs 1.618 against rhs 2.0
+    with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+        deletion_bound(path_graph(4), 1, tol=tol)
+    assert not deletion_bound(path_graph(4), 1, tol=0.0).equality
+
+
 def test_rotation_example_star():
     # path 0-1-2-3; shift 3's edge from 2 onto 1: a star at 1
     g = path_graph(4)
