@@ -52,14 +52,16 @@ def _int_pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -89,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     # eigh solves components of at most 64 vertices or at most 64 twin
     # classes; these three flags drive the power iteration on the other ones
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--maxiter", type=_positive_int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--maxiter", type=_int_at_least(1), default=1_000_000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("check", help="structural predicates for each input graph")
     p.add_argument("--in", dest="infile", required=True)
@@ -121,11 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("wilf", help="clique-free spectral bound on random r-partite graphs")
     v.add_argument("--r", type=int, required=True)
     v.add_argument("--n-max", type=int, required=True)
-    v.add_argument("--trials", type=_positive_int, default=200)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--trials", type=_int_at_least(1), default=200)
+    v.add_argument("--seed", type=_int_at_least(0), default=0)
     v = vsub.add_parser("rotation", help="strict spectral increase of valid rotations")
-    v.add_argument("--trials", type=_positive_int, required=True)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--trials", type=_int_at_least(1), required=True)
+    v.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("scan", help="conjecture sweep over the small-order census")
     p.add_argument("--kind", required=True,
@@ -246,7 +248,7 @@ def _cmd_verify(args) -> int:
     if args.pipeline == "lemma27":
         rep = lemma27_scan(args.r, args.n)
         out = rep.to_json_dict()
-        out["pass"] = rep.argmax_is_y and rep.unique
+        out["pass"] = rep.unique  # unique requires argmax_is_y
         _emit(out)
         return 0 if out["pass"] else 1
     if args.pipeline == "lemma28":

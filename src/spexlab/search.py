@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -280,17 +280,16 @@ def _colorable(g: Graph, r: int) -> bool:
     return _dsatur(_contract_twins(g)[0].rows, r)[0] is not None
 
 
-@lru_cache(maxsize=64)
-def _census_cached(n: int, prune_key) -> tuple[Graph, ...]:
-    """The order-n census pruned by ``prune_key``, certificate-labelled; the one
-    guarded entry to the enumeration (0 <= n <= ENUMERATION_HARD_GUARD)."""
+def _census(n: int, prune_key) -> Iterator[Graph]:
+    """The streamed, certificate-labelled order-n census pruned by ``prune_key``; the
+    one entry to the enumeration, which checks 0 <= n <= ENUMERATION_HARD_GUARD first."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n > ENUMERATION_HARD_GUARD:
         raise FeasibilityError(
             f"enumeration guard: n <= {ENUMERATION_HARD_GUARD}, got {n}"
         )
-    return tuple(_orderly_levels(n, partial(_free_of, prune_key)))
+    return _orderly_levels(n, partial(_free_of, prune_key))
 
 
 def _published(graphs: Iterable[Graph]) -> list[Graph]:
@@ -302,7 +301,7 @@ def _published(graphs: Iterable[Graph]) -> list[Graph]:
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """One canonical (lex-min) representative per isomorphism class of order
     n, ascending by edge count then by canonical string. Guarded at n <= 10."""
-    yield from _published(_census_cached(n, (None, None)))
+    yield from _published(_census(n, (None, None)))
 
 
 # ---------------------------------------------------------------------
@@ -396,31 +395,33 @@ def _extremal_search(
     value: Callable[[Graph], float],
     tie_tol: float,
 ) -> SearchReport:
-    """Maximise ``value`` over the feasible classes of order n. The census
-    members carry certificate labellings; only the champions (every class
-    within ``tie_tol`` of the maximum) are named, by their canonical graph6
-    string. The gap is measured to the best remaining class."""
-    census = _census_cached(n, pred.prune_key())
-    feasible = [g for g in census if pred._beyond_census(g)]
-    values = [value(g) for g in feasible]
-    champions: tuple[tuple[str, float], ...] = ()
-    gap = None
-    if feasible:
-        best = max(values)
-        champions = tuple(sorted(
-            (canonical_graph6(g), v) for g, v in zip(feasible, values) if v >= best - tie_tol
-        ))
-        runner = max((v for v in values if v < best - tie_tol), default=None)
-        gap = None if runner is None else best - runner
+    """Maximise ``value`` over the feasible classes of order n in one pass over
+    the streamed, certificate-labelled census, holding a class only while it is
+    within ``tie_tol`` of the running maximum: those left are the champions, named
+    by their canonical graph6 string. The gap is to the best remaining class."""
+    scanned, values, near, best = 0, [], [], -math.inf
+    for g in _census(n, pred.prune_key()):
+        scanned += 1
+        if not pred._beyond_census(g):
+            continue
+        v = value(g)
+        values.append(v)
+        if v > best:
+            best = v
+            near = [(h, w) for h, w in near if w >= best - tie_tol]
+        if v >= best - tie_tol:
+            near.append((g, v))
+    champions = tuple(sorted((canonical_graph6(g), v) for g, v in near))
+    runner = max((v for v in values if v < best - tie_tol), default=None)
     return SearchReport(
         n=n,
         predicate=pred,
         objective=objective,
         champions=champions,
-        gap_to_runner_up=gap,
+        gap_to_runner_up=None if runner is None else best - runner,
         exhaustive=True,
-        graphs_scanned=len(census),
-        feasible_count=len(feasible),
+        graphs_scanned=scanned,
+        feasible_count=len(values),
         ties_within_tol=tuple(g6 for g6, _ in champions) if len(champions) > 1 else (),
     )
 
@@ -680,7 +681,7 @@ def census_rows(n: int) -> Iterator[dict]:
     """Full-census dump rows: one dict per isomorphism class of order n with
     its graph6 string, order, size, spectral radius, chromatic number, and
     connectivity/bipartiteness flags."""
-    for g in _published(_census_cached(n, (None, None))):
+    for g in _published(_census(n, (None, None))):
         chi = chromatic_number(g)
         yield {
             "graph6": graph6_encode(g),
@@ -711,23 +712,16 @@ def write_census(n: int, g6_path, csv_path) -> int:
     return count
 
 
-def _census_sweep(lo: int, max_n: int, prune_key) -> Iterator[tuple[Graph, int]]:
-    """Every certificate-labelled class of order lo..max_n under ``prune_key``,
-    with its edge count; a scan decides each here and publishes what it prints."""
-    for n in range(lo, max_n + 1):
-        for g in _census_cached(n, prune_key):
-            yield g, g.edge_count
-
-
 def _bound_sweep(max_n: int, book: tuple[int, int], c: float,
                  tol: float) -> tuple[int, list[Graph], list[Graph]]:
     """The B(book)-free classes of order 1..max_n against rho <= sqrt(c m): their
     count, violations and equality witnesses (|rho - bound| <= tol). A class
     within TIE_TOL of either edge is decided on its lex-min form, as printed."""
+    key = PredicateSpec(forbid_book=book).prune_key()
     scanned, violations, witnesses = 0, [], []
-    for g, m in _census_sweep(1, max_n, PredicateSpec(forbid_book=book).prune_key()):
+    for g in chain.from_iterable(_census(n, key) for n in range(1, max_n + 1)):
         scanned += 1
-        rho, bound = _rho(g), math.sqrt(c * m)
+        rho, bound = _rho(g), math.sqrt(c * g.edge_count)
         if abs(abs(rho - bound) - tol) <= TIE_TOL:
             rho = _rho(_published([g])[0])
         if rho > bound + tol:
@@ -751,10 +745,11 @@ def _scan_nosal(max_n: int, k: int, tol: float) -> ConjectureScanReport:
 
 
 def _scan_liu_miao(max_n: int, tol: float) -> ConjectureScanReport:
+    key = PredicateSpec(forbid_book=(2, 2)).prune_key()
     by_m: dict[int, list[tuple[float, Graph]]] = {}
-    for g, m in _census_sweep(3, max_n, PredicateSpec(forbid_book=(2, 2)).prune_key()):
+    for g in chain.from_iterable(_census(n, key) for n in range(3, max_n + 1)):
         if not _colorable(g, 2):
-            by_m.setdefault(m, []).append((_rho(g), g))
+            by_m.setdefault(g.edge_count, []).append((_rho(g), g))
     champions, violations = [], []
     for m in sorted(by_m):
         # a relabelling moves rho by ulps: the lex-min forms near the top decide

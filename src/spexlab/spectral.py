@@ -149,6 +149,8 @@ def spectral_radius(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     comps = g.components()
     a = None  # the n x n matrix, built once a component needs it
     best: Optional[tuple[float, Sequence[int], np.ndarray, float, int]] = None
@@ -225,7 +227,7 @@ def deletion_bound(g: Graph, v: int, tol: float = 1e-8) -> DeletionBoundReport:
     if not 0 <= tol < math.inf:  # nan fails too
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     lhs = spectral_radius(g).rho
-    rho_del = spectral_radius(g.delete_vertex(v)).rho if g.n > 1 else 0.0
+    rho_del = spectral_radius(g.delete_vertex(v)).rho  # d(v) >= 1, so n >= 2
     rhs = math.sqrt(rho_del * rho_del + 2.0 * d - 1.0)
     return DeletionBoundReport(
         lhs=lhs,

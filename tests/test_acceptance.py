@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import spexlab.search as search
 from spexlab.graphs import (
     complete_graph,
     graph6_decode,
@@ -104,7 +105,28 @@ def test_criterion_4_edge_count_identity(capfd):
 SPEX_CASES = [(2, 5), (2, 6), (2, 7), (3, 6), (3, 7), (3, 8)]
 
 
-def test_criterion_5_spectral_turan_exhaustive(capfd):
+@pytest.fixture(scope="module")
+def k4_free_order8():
+    return []  # the order-8 K4-free census, once a test of this module has read it
+
+
+@pytest.fixture
+def shared_k4_free_order8(monkeypatch, k4_free_order8):
+    """Criteria 5, 6 and 10 each search the order-8 K4-free census: the first
+    to run enumerates it (inside its own timing) and the others share it."""
+    real = search._census
+
+    def census(n, key):
+        if (n, key) != (8, (4, None)):
+            return real(n, key)
+        if not k4_free_order8:
+            k4_free_order8.extend(real(n, key))
+        return iter(k4_free_order8)
+
+    monkeypatch.setattr(search, "_census", census)
+
+
+def test_criterion_5_spectral_turan_exhaustive(capfd, shared_k4_free_order8):
     t_heavy = None
     for r, n in SPEX_CASES:
         t0 = time.time()
@@ -122,7 +144,7 @@ def test_criterion_5_spectral_turan_exhaustive(capfd):
     assert ok
 
 
-def test_criterion_6_edge_turan_exhaustive(capfd):
+def test_criterion_6_edge_turan_exhaustive(capfd, shared_k4_free_order8):
     for r, n in SPEX_CASES:
         rep = ex_search(n, PredicateSpec(forbid_clique=r + 1))
         expect = canonical_graph6(turan(r, n))
@@ -273,7 +295,7 @@ def test_criterion_9f_hill_climb_local_max(capfd):
     announce(capfd, "9f", True, "no predicate-preserving move improves y_graph(3,30)")
 
 
-def test_criterion_10_probe_order8(capfd):
+def test_criterion_10_probe_order8(capfd, shared_k4_free_order8):
     rep = spex_search(8, PredicateSpec(forbid_book=(3, 1), require_non_r_partite=3))
     assert rep.exhaustive and len(rep.champions) == 1
     champ_g6, champ_rho = rep.champions[0]

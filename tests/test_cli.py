@@ -349,6 +349,17 @@ def test_verify_trials_must_be_positive(capsys):
             assert "--trials" in err
 
 
+def test_seed_must_be_nonnegative(capsys, monkeypatch):
+    # spectrum --seed -1 exited 0 on graphs that eigh solves and 2 with numpy's
+    # message once power iteration ran; verify printed numpy's message too
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(complete_graph(5)) + "\n"))
+    for argv in (["spectrum", "--in", "-"], ["verify", "wilf", "--r", "3", "--n-max", "10"],
+                 ["verify", "rotation", "--trials", "1"]):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 2 and out == "", argv
+        assert "--seed" in err and "must be >= 0, got -1" in err, argv
+
+
 def test_spectrum_maxiter_must_be_positive(capsys, monkeypatch):
     # zero iterations used to end as an internal ConvergenceError (exit 3)
     for maxiter in ("0", "-3"):

@@ -4,11 +4,14 @@ cycle-index formula, and the exhaustive searches at known small cases."""
 import hashlib
 import math
 import time
+import weakref
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spexlab.search as search
 from spexlab.graphs import (
@@ -32,7 +35,7 @@ from spexlab.search import (
     FAMILY_CONFIG_GUARD,
     PredicateSpec,
     _cell_graph_rho,
-    _census_cached,
+    _census,
     _family_cell_sizes,
     _family_configs,
     _family_y_key,
@@ -135,7 +138,7 @@ def test_canonical_form_guard_refuses_large_orders_at_once(g):
 def test_canonical_forms_of_the_order7_census_are_pinned():
     # the published representatives of all 1,044 classes, pinned as a sorted
     # list: the order in which the census holds its classes is not a contract
-    census = _census_cached(7, (None, None))
+    census = tuple(_census(7, (None, None)))
     rows = repr(sorted(canonical_form(g).rows for g in census)).encode()
     assert hashlib.sha256(rows).hexdigest() == (
         "7bcd025c566b00384b92521209eeccdfbc8e8661610d15dbd5366676828166f0")
@@ -150,22 +153,10 @@ def test_canonical_forms_of_the_order7_census_are_pinned():
 def test_census_certificate_rows_are_pinned(n, prune_key, count, digest):
     # the certificate rows of every class, sorted, so the pin does not depend
     # on the order in which the census holds its classes
-    census = _census_cached(n, prune_key)
+    census = tuple(_census(n, prune_key))
     assert len(census) == count
     rows = repr(sorted(g.rows for g in census)).encode()
     assert hashlib.sha256(rows).hexdigest() == digest
-
-
-def test_census_certifies_under_two_children_per_class(monkeypatch):
-    # the edge-key filter certifies about 1.7 children per class at order 8;
-    # certifying every child that passes the predicate costs 12.1
-    calls = []
-    real = search.canonical_certificate
-    monkeypatch.setattr(search, "canonical_certificate", lambda g: calls.append(g) or real(g))
-    _census_cached.cache_clear()
-    census = _census_cached(8, (4, None))
-    assert len(census) == 6431
-    assert len(calls) <= 2 * len(census)
 
 
 def test_book_census_builds_no_degeneracy_order(monkeypatch):
@@ -176,7 +167,7 @@ def test_book_census_builds_no_degeneracy_order(monkeypatch):
         raise AssertionError("the census needs no root order")
 
     monkeypatch.setattr(structure_mod, "degeneracy_order", refuse)
-    census = _census_cached.__wrapped__(7, (None, (3, 2)))  # bypass the cache
+    census = tuple(_census(7, (None, (3, 2))))
     assert len(census) == 855
     rows = repr(sorted(g.rows for g in census)).encode()
     assert hashlib.sha256(rows).hexdigest() == (
@@ -238,7 +229,7 @@ def test_census_graphs_are_canonical_and_ordered():
 def test_census_members_are_certificate_fixed_points():
     # the enumeration represents each class by its certificate rows, never by
     # the lex-min form
-    census = _census_cached(7, (4, None))
+    census = tuple(_census(7, (4, None)))
     assert len(census) == 685
     for g in census:
         assert canonical_certificate(g) == g.rows
@@ -251,11 +242,79 @@ def test_searches_canonicalise_only_the_champions(monkeypatch):
     real = search_mod.canonical_perm
     monkeypatch.setattr(search_mod, "canonical_perm", lambda g: calls.append(g) or real(g))
     for search in (spex_search, ex_search):
-        _census_cached.cache_clear()
         calls.clear()
         rep = search(7, PredicateSpec(forbid_clique=4))
         assert len(rep.champions) == 1
         assert len(calls) == 1, search.__name__
+
+
+def test_searches_hold_only_their_near_maximum_classes(monkeypatch):
+    # each census graph counts as live from its yield until it is freed: the
+    # searches read the census once and hold only the classes near the maximum
+    counts = {"live": 0, "peak": 0, "made": 0, "certified": 0}
+    real = search._orderly_levels
+    certify = search.canonical_certificate
+
+    def counted_certificate(g):
+        counts["certified"] += 1
+        return certify(g)
+
+    def freed():
+        counts["live"] -= 1
+
+    def counted(n, keep):
+        for g in real(n, keep):
+            counts["made"] += 1
+            counts["live"] += 1
+            counts["peak"] = max(counts["peak"], counts["live"])
+            weakref.finalize(g, freed)
+            yield g
+
+    monkeypatch.setattr(search, "_orderly_levels", counted)
+    monkeypatch.setattr(search, "canonical_certificate", counted_certificate)
+    # spex_search holds a handful; ex_search climbs one edge level at a time,
+    # and the largest level of the order-8 K4-free census has 1,061 classes
+    for run, most in ((spex_search, 16), (ex_search, 1099)):
+        counts.update(live=0, peak=0, made=0, certified=0)
+        rep = run(8, PredicateSpec(forbid_clique=4))
+        assert counts["made"] == rep.graphs_scanned == 6431, run.__name__
+        assert counts["peak"] <= most, (run.__name__, counts["peak"])
+        assert counts["live"] == 0, run.__name__
+        # the edge-key filter certifies about 1.7 children per class at order
+        # 8; certifying every child that passes the predicate costs 12.1
+        assert counts["certified"] <= 2 * counts["made"], run.__name__
+
+
+@pytest.fixture(scope="module")
+def order6_census():
+    return tuple(_census(6, (None, None)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), tie_tol=st.sampled_from([0.0, TIE_TOL]))
+def test_one_pass_search_matches_the_batch_definition(order6_census, data, tie_tol):
+    # exact ties, values exactly tie_tol below the maximum and one ulp below
+    # that, in any arrival order, against the definition over the whole census
+    census = data.draw(st.permutations(order6_census))
+    top = data.draw(st.floats(-8, 8))
+    ladder = [top, top - tie_tol, math.nextafter(top - tie_tol, -math.inf), top - 1]
+    drawn = data.draw(st.lists(st.sampled_from(ladder), min_size=156, max_size=156))
+    table = {g.rows: v for g, v in zip(census, drawn)}
+    pred = data.draw(st.sampled_from([PredicateSpec(require_connected=True),
+                                      PredicateSpec(forbid_clique=7)]))
+    feasible = [g for g in census if pred._beyond_census(g)]
+    values = [table[g.rows] for g in feasible]
+    best = max(values)
+    champions = tuple(sorted((canonical_graph6(g), v) for g, v in zip(feasible, values)
+                             if v >= best - tie_tol))
+    runner = max((v for v in values if v < best - tie_tol), default=None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_census", lambda n, key: iter(census))
+        rep = search._extremal_search(6, pred, "rho", lambda g: table[g.rows], tie_tol)
+    assert rep.champions == champions
+    assert rep.gap_to_runner_up == (None if runner is None else best - runner)
+    assert rep.ties_within_tol == (tuple(g6 for g6, _ in champions) if len(champions) > 1 else ())
+    assert (rep.graphs_scanned, rep.feasible_count) == (156, len(feasible))
 
 
 def test_scans_canonicalise_only_what_they_print(monkeypatch):
@@ -264,9 +323,6 @@ def test_scans_canonicalise_only_what_they_print(monkeypatch):
     monkeypatch.setattr(search, "canonical_perm", lambda g: calls.append(g) or real(g))
 
     def scan(*args, **kwargs):
-        for f in vars(search).values():  # every census cache: nothing published in advance
-            if hasattr(f, "cache_clear"):
-                f.cache_clear()
         calls.clear()
         return conjecture_scan(*args, **kwargs), len(calls)
 
@@ -282,7 +338,7 @@ def test_scans_canonicalise_only_what_they_print(monkeypatch):
     # within TIE_TOL of the largest at their edge count, and only those
     by_m = {}
     for n in range(3, 8):
-        for g in _census_cached(n, PredicateSpec(forbid_book=(2, 2)).prune_key()):
+        for g in _census(n, PredicateSpec(forbid_book=(2, 2)).prune_key()):
             if not is_r_colorable(g, 2)[0]:
                 by_m.setdefault(g.edge_count, []).append(spectral_radius(g).rho)
     window = sum(rho >= max(rhos) - TIE_TOL for rhos in by_m.values() for rho in rhos)
@@ -297,7 +353,7 @@ def test_bound_scans_decide_near_ties_on_the_printed_form(monkeypatch):
     lexmin = graph6_decode("GBj^V_")
     cert = Graph(8, canonical_certificate(lexmin))
     assert (spectral_radius(cert).rho, spectral_radius(lexmin).rho) == (4.0, 4.000000000000001)
-    monkeypatch.setattr(search, "_census_cached", lambda n, key: (cert,) if n == 8 else ())
+    monkeypatch.setattr(search, "_census", lambda n, key: (cert,) if n == 8 else ())
     rep = conjecture_scan("sqrt_2m_bound", 8, r=2, k=3, tol=0.0)
     assert rep.violations == ({"graph6": "GBj^V_", "rho": 4.000000000000001, "bound": 4.0, "m": 16},)
     rep = conjecture_scan("nosal_book", 8, k=3, tol=0.0)

@@ -20,7 +20,7 @@ from spexlab.graphs import (
     y_graph,
 )
 from spexlab.random_graphs import random_connected_graph, random_graph
-from spexlab.search import _census_cached, enumerate_graphs
+from spexlab.search import _census, enumerate_graphs
 from spexlab.spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -85,7 +85,7 @@ def spectral_radius_via_induced(g):
 
 
 def test_disconnected_components_match_induced_reference():
-    graphs = [g for g in _census_cached(7, (None, None)) if not g.is_connected()]
+    graphs = [g for g in _census(7, (None, None)) if not g.is_connected()]
     graphs.append(disjoint_union(y_graph(3, 200), empty_graph(1)))
     assert len(graphs) > 100
     for g in graphs:
@@ -284,6 +284,11 @@ def test_convergence_error_carries_residual():
     for tol in (0.0, -1e-9, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             spectral_radius(path_graph(100), tol=tol)
+    # a negative seed was refused by numpy only once power iteration ran; now
+    # it is refused before solving, also on a graph that eigh alone solves
+    for g in (path_graph(100), complete_graph(5)):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+            spectral_radius(g, seed=-1)
 
 
 def test_isolated_vertex_and_trivial_graphs():

@@ -29,7 +29,7 @@ from spexlab.graphs import (
     y_graph_layout,
 )
 from spexlab.random_graphs import random_graph, random_multipartite
-from spexlab.search import _census_cached, enumerate_graphs
+from spexlab.search import _census, enumerate_graphs
 from spexlab.structure import (
     FeasibilityError,
     Partition,
@@ -113,7 +113,7 @@ def test_degeneracy_order_matches_recounting_reference():
 
 def test_one_twin_contraction_leaves_no_twins():
     rng = np.random.default_rng(8)
-    graphs = list(_census_cached(7, (None, None)))
+    graphs = list(_census(7, (None, None)))
     graphs += [random_graph(int(rng.integers(1, 15)), float(rng.uniform(0.05, 0.95)), rng)
                for _ in range(150)]
     graphs += [random_multipartite(int(rng.integers(2, 15)), 3, float(rng.choice([0.9, 1.0])), rng)
@@ -551,7 +551,7 @@ def brute_complete_bipartite(g: Graph) -> bool:
 
 def test_complete_bipartite_predicate_matches_brute_force():
     for n in range(8):
-        for g in _census_cached(n, (None, None)):
+        for g in _census(n, (None, None)):
             h = g.induced([v for v in range(g.n) if g.rows[v]])
             assert is_complete_bipartite(g) == brute_complete_bipartite(h)
             assert is_complete_bipartite(g, ignore_isolated=False) == brute_complete_bipartite(g)
