@@ -25,6 +25,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -32,6 +33,7 @@ import numpy as np
 from . import __version__
 from .graphs import (
     FamilySpec,
+    Graph,
     Graph6ParseError,
     graph6_decode,
     graph6_encode,
@@ -45,23 +47,32 @@ from .spectral import check_wilf, rotate_edges, spectral_radius
 from .structure import chromatic_number, contains_generalized_book, is_color_critical, is_r_colorable
 
 
-def _int_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected R,K")
-    return int(parts[0]), int(parts[1])
+def _book(text: str) -> tuple[int, int]:
+    try:
+        r, k = map(int, text.split(","))
+    except ValueError as exc:  # not two integers
+        raise argparse.ArgumentTypeError(f"expected R,K, got {text!r}") from exc
+    if r < 2 or k < 1:
+        raise argparse.ArgumentTypeError(f"need R >= 2 and K >= 1, got {r},{k}")
+    return r, k
+
+
+def _checked(convert, ok, refusal: str):
+    """An argparse type: convert the text, then refuse a value that is not ok
+    with refusal.format(value)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from exc
+        if not ok(value):
+            raise argparse.ArgumentTypeError(refusal.format(value))
+        return value
+    return parse
 
 
 def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-    return parse
+    return _checked(int, lambda value: value >= low, f"must be >= {low}, got {{}}")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -90,21 +101,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="graph6 file or - for stdin")
     # eigh solves components of at most 64 vertices or at most 64 twin
     # classes; these three flags drive the power iteration on the other ones
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", default=1e-10, type=_checked(
+        float, lambda tol: 0 < tol < math.inf, "tol must be positive and finite, got {}"))
     p.add_argument("--maxiter", type=_int_at_least(1), default=1_000_000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("check", help="structural predicates for each input graph")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--book", type=_int_pair, metavar="R,K")
-    p.add_argument("--rpartite", type=int, metavar="R")
+    p.add_argument("--book", type=_book, metavar="R,K")
+    p.add_argument("--rpartite", type=_int_at_least(1), metavar="R")
     p.add_argument("--chromatic", action="store_true")
     p.add_argument("--color-critical", action="store_true")
 
     p = sub.add_parser("search", help="exhaustive extremal search over small orders")
     p.add_argument("mode", choices=["spex", "ex"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--forbid-book", type=_int_pair, metavar="R,K")
+    p.add_argument("--forbid-book", type=_book, metavar="R,K")
     p.add_argument("--forbid-clique", type=int, metavar="Q")
     p.add_argument("--non-r-partite", type=int, metavar="R")
     p.add_argument("--connected", action="store_true")
@@ -189,35 +201,43 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    for _, g in _read_graph_lines(args.infile):
-        res = spectral_radius(g, tol=args.tol, max_iter=args.maxiter, seed=args.seed)
-        _emit({"order": g.n, "size": g.edge_count, **asdict(res)})
+def _each_graph(args, doc_of) -> int:
+    """Emit doc_of(args, g) for each input graph in turn; a ValueError on one
+    graph is an input error that names its line."""
+    for lineno, g in _read_graph_lines(args.infile):
+        try:
+            doc = doc_of(args, g)
+        except ValueError as exc:
+            raise _InputError(f"line {lineno}: {exc}") from exc
+        _emit(doc)
     return 0
 
 
-def _cmd_check(args) -> int:
-    for _, g in _read_graph_lines(args.infile):
-        out = {"order": g.n, "size": g.edge_count}
-        if args.book is not None:
-            r, k = args.book
-            has, witness = contains_generalized_book(g, r, k)
-            out["book"] = [r, k]
-            out["contains_book"] = has
-            out["book_witness"] = list(witness) if witness else None
-        if args.rpartite is not None:
-            ok, coloring = is_r_colorable(g, args.rpartite)
-            out["rpartite"] = args.rpartite
-            out["is_r_partite"] = ok
-            out["coloring"] = list(coloring) if coloring else None
-        if args.chromatic:
-            out["chromatic"] = chromatic_number(g)
-        if args.color_critical:
-            has, edge = is_color_critical(g)
-            out["color_critical"] = has
-            out["critical_edge"] = list(edge) if edge else None
-        _emit(out)
-    return 0
+def _spectrum_doc(args, g: Graph) -> dict:
+    res = spectral_radius(g, tol=args.tol, max_iter=args.maxiter, seed=args.seed)
+    return {"order": g.n, "size": g.edge_count, **asdict(res)}
+
+
+def _check_doc(args, g: Graph) -> dict:
+    out = {"order": g.n, "size": g.edge_count}
+    if args.book is not None:
+        r, k = args.book
+        has, witness = contains_generalized_book(g, r, k)
+        out["book"] = [r, k]
+        out["contains_book"] = has
+        out["book_witness"] = list(witness) if witness else None
+    if args.rpartite is not None:
+        ok, coloring = is_r_colorable(g, args.rpartite)
+        out["rpartite"] = args.rpartite
+        out["is_r_partite"] = ok
+        out["coloring"] = list(coloring) if coloring else None
+    if args.chromatic:
+        out["chromatic"] = chromatic_number(g)
+    if args.color_critical:
+        has, edge = is_color_critical(g)
+        out["color_critical"] = has
+        out["critical_edge"] = list(edge) if edge else None
+    return out
 
 
 def _cmd_search(args) -> int:
@@ -345,8 +365,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     handler = {
         "construct": _cmd_construct,
-        "spectrum": _cmd_spectrum,
-        "check": _cmd_check,
+        "spectrum": partial(_each_graph, doc_of=_spectrum_doc),
+        "check": partial(_each_graph, doc_of=_check_doc),
         "search": _cmd_search,
         "verify": _cmd_verify,
         "scan": _cmd_scan,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -461,41 +461,32 @@ class FamilyScanReport:
         return asdict(self)
 
 
-def _partitions_into(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing positive integer tuples with the given length and sum, in
-    decreasing lexicographic order."""
+def _partitions_into(total: int, parts: int, top: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The partitions of total into parts positive parts of at most top, as runs
+    ((size, multiplicity), ...) with sizes descending, in decreasing lexicographic
+    order of the sorted parts. Each multiplicity c of a size v leaves a remainder
+    that fits parts - c sizes below v, so every call yields something."""
     if not 1 <= parts <= total:
         return
-    a = [total - parts + 1] + [1] * (parts - 1)
-    while True:
-        yield tuple(a)
-        # lower by one the last entry that still has room for its suffix sum plus
-        # one on the entries after it, then refill those greedily
-        tail = 0
-        for i in range(parts - 2, -1, -1):
-            tail += a[i + 1]
-            if (a[i] - 1) * (parts - 1 - i) > tail:
-                break
-        else:
-            return
-        a[i] -= 1
-        rest = tail + 1
-        for j in range(i + 1, parts):
-            a[j] = min(a[i], rest - (parts - 1 - j))
-            rest -= a[j]
+    for v in range(min(top, total - parts + 1), (total - 1) // parts, -1):  # to ceil(total/parts)
+        c_max = parts if v == 1 else min(parts, (total - parts) // (v - 1))
+        for c in range(c_max, max(1, total - parts * (v - 1)) - 1, -1):
+            for rest in _partitions_into(total - c * v, parts - c, v - 1) if c < parts else [()]:
+                yield ((v, c),) + rest
 
 
 def _family_configs(r: int, n: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Each construction-family configuration once, as (part sizes, slot a,
     slot b) with a < b. Its class is fixed by the sizes and the pair of slot
-    sizes, so each pair is taken at its first slots, in slot-pair order.
+    sizes, so slot a is the first slot of a run of equal sizes and slot b the
+    next slot of that run or the first of a later one, in slot-pair order.
     Raises FeasibilityError once there are more than FAMILY_CONFIG_GUARD."""
     count = 0
-    for sizes in _partitions_into(n - 1, r):
-        heads = [i for i in range(r) if i == 0 or sizes[i] < sizes[i - 1]]
-        for k, ia in enumerate(heads):
-            twin = [ia + 1] if sizes[ia + 1 : ia + 2] == (sizes[ia],) else []
-            for ib in twin + heads[k + 1 :]:
+    for runs in _partitions_into(n - 1, r, n - 1):
+        sizes = tuple(chain.from_iterable(repeat(v, c) for v, c in runs))
+        heads = list(accumulate((c for _, c in runs[:-1]), initial=0))
+        for k, (ia, (_, c)) in enumerate(zip(heads, runs)):
+            for ib in ([ia + 1] if c > 1 else []) + heads[k + 1 :]:
                 count += 1
                 if count > FAMILY_CONFIG_GUARD:
                     raise FeasibilityError(
@@ -514,6 +505,7 @@ def _family_cell_sizes(sizes: tuple[int, ...], ia: int, ib: int) -> np.ndarray:
 def _cell_graph_rho(c: np.ndarray, s: np.ndarray) -> float:
     """Spectral radius of the blow-up of c by s: the largest eigenvalue of
     diag(sqrt s) c diag(sqrt s), whose entries sqrt(s_i s_j) are rounded once."""
+    # not eigh: its top eigenvalue differs in the last ulps on most of these, moving the output
     return float(np.linalg.eigvalsh(c * np.sqrt(np.outer(s, s)))[-1])
 
 
@@ -712,16 +704,21 @@ def write_census(n: int, g6_path, csv_path) -> int:
     return count
 
 
-def _bound_sweep(max_n: int, book: tuple[int, int], c: float,
+def _book_bound(r: int, m: int) -> float:
+    """sqrt((1 - 1/r) 2m), the edge-count bound of both book scans (sqrt(m) at r = 2)."""
+    return math.sqrt((1.0 - 1.0 / r) * 2.0 * m)
+
+
+def _bound_sweep(max_n: int, book: tuple[int, int],
                  tol: float) -> tuple[int, list[Graph], list[Graph]]:
-    """The B(book)-free classes of order 1..max_n against rho <= sqrt(c m): their
+    """The B(book)-free classes of order 1..max_n against rho <= _book_bound: their
     count, violations and equality witnesses (|rho - bound| <= tol). A class
     within TIE_TOL of either edge is decided on its lex-min form, as printed."""
-    key = PredicateSpec(forbid_book=book).prune_key()
+    key = PredicateSpec(forbid_book=book).prune_key()  # refuses r < 2 before 1 / r
     scanned, violations, witnesses = 0, [], []
     for g in chain.from_iterable(_census(n, key) for n in range(1, max_n + 1)):
         scanned += 1
-        rho, bound = _rho(g), math.sqrt(c * g.edge_count)
+        rho, bound = _rho(g), _book_bound(book[0], g.edge_count)
         if abs(abs(rho - bound) - tol) <= TIE_TOL:
             rho = _rho(_published([g])[0])
         if rho > bound + tol:
@@ -732,7 +729,7 @@ def _bound_sweep(max_n: int, book: tuple[int, int], c: float,
 
 
 def _scan_nosal(max_n: int, k: int, tol: float) -> ConjectureScanReport:
-    scanned, violations, witnesses = _bound_sweep(max_n, (2, k), 1, tol)
+    scanned, violations, witnesses = _bound_sweep(max_n, (2, k), tol)
     return ConjectureScanReport(
         kind="nosal_book",
         params={"max_n": max_n, "k": k},
@@ -772,13 +769,12 @@ def _scan_liu_miao(max_n: int, tol: float) -> ConjectureScanReport:
 
 
 def _scan_sqrt_2m(max_n: int, r: int, k: int, tol: float) -> ConjectureScanReport:
-    c = (1.0 - 1.0 / r) * 2.0
-    scanned, violations, _ = _bound_sweep(max_n, (r, k), c, tol)
+    scanned, violations, _ = _bound_sweep(max_n, (r, k), tol)
     return ConjectureScanReport(
         kind="sqrt_2m_bound",
         params={"max_n": max_n, "r": r, "k": k},
         scanned=scanned,
         violations=tuple({"graph6": graph6_encode(g), "rho": _rho(g),
-                          "bound": math.sqrt(c * g.edge_count), "m": g.edge_count}
+                          "bound": _book_bound(r, g.edge_count), "m": g.edge_count}
                          for g in _published(violations)),
     )

@@ -311,7 +311,9 @@ def test_verify_lemma27_stdout_pins(capsys, r, n):
     assert code == 0 and out == LEMMA27_PINS[r, n]
 
 
-@pytest.mark.parametrize("r,n", [("3", "3000"), ("400", "800"), ("1500", "3000")])
+@pytest.mark.parametrize(
+    "r,n", [("3", "3000"), ("400", "800"), ("1500", "3000"), ("5000", "10000")]
+)
 def test_verify_lemma27_guard_is_a_usage_error(capsys, r, n):
     code, out, err = run(capsys, "verify", "lemma27", "--r", r, "--n", n)
     assert code == 2 and out == ""
@@ -454,6 +456,39 @@ def test_usage_errors(capsys):
     for kind, max_n in [("nosal_book", "0"), ("sqrt_2m_bound", "-1"), ("liu_miao_U", "2")]:
         code, out, err = run(capsys, "scan", "--kind", kind, "--max-n", max_n)
         assert code == 2 and out == "" and "needs max_n >=" in err
+
+
+@pytest.mark.parametrize("r", ["0", "1"])
+def test_scan_sqrt_2m_small_r_is_a_usage_error(capsys, r):
+    # r = 0 used to divide by zero (exit 3) before the book was checked
+    code, out, err = run(capsys, "scan", "--kind", "sqrt_2m_bound", "--max-n", "4", "--r", r)
+    assert (code, out) == (2, "")
+    assert err == "error: forbid_book needs r >= 2 and k >= 1\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--book", "1,1"], "argument --book: need R >= 2 and K >= 1, got 1,1"),
+    (["check", "--book", "3,0"], "argument --book: need R >= 2 and K >= 1, got 3,0"),
+    (["check", "--book", "3,x"], "argument --book: expected R,K, got '3,x'"),
+    (["check", "--rpartite", "0"], "argument --rpartite: must be >= 1, got 0"),
+    (["spectrum", "--tol", "-1"], "argument --tol: tol must be positive and finite, got -1.0"),
+])
+def test_flag_values_are_refused_on_empty_input(capsys, argv, message):
+    # checked at parse time: an empty input used to pass with exit 0
+    code, out, err = run(capsys, *argv, "--in", os.devnull)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv,line,message", [
+    (["check", "--color-critical"], "@", "colour-criticality needs at least one edge"),
+    (["spectrum"], "?", "spectral radius needs at least one vertex"),
+])
+def test_graph_errors_name_their_line(capsys, monkeypatch, argv, line, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n\n" + line + "\n"))
+    code, out, err = run(capsys, *argv, "--in", "-")
+    assert code == 2 and len(out.splitlines()) == 1  # the triangle is answered first
+    assert err == f"error: line 3: {message}\n"
 
 
 def test_search_ex_csv_bytes(capsys):

@@ -627,9 +627,37 @@ def graph_family_scan(r, n):
 def test_partitions_into_keeps_the_recursive_order():
     for total in range(31):
         for parts in range(1, 9):
-            assert list(_partitions_into(total, parts)) == list(
-                recursive_partitions(total, parts)
-            ), (total, parts)
+            expanded = [
+                tuple(v for v, c in runs for _ in range(c))
+                for runs in _partitions_into(total, parts, total)
+            ]
+            assert expanded == list(recursive_partitions(total, parts)), (total, parts)
+
+
+FAMILY_SWEEP = [(r, n) for r in range(2, 8) for n in range(2 * r, 40)]
+
+
+def family_sweep_sha256(item):
+    """sha256 over item(r, n) for every sweep case; a refused case adds the
+    guard's message instead."""
+    h = hashlib.sha256()
+    for r, n in FAMILY_SWEEP:
+        try:
+            h.update(repr(item(r, n)).encode())
+        except FeasibilityError as exc:
+            h.update(str(exc).encode())
+    return h.hexdigest()
+
+
+def test_family_scan_sweep_is_pinned():
+    # taken before the partition walk moved to (size, multiplicity) runs;
+    # (7, 39) is the one case refused by the guard
+    assert family_sweep_sha256(lambda r, n: list(_family_configs(r, n))) == (
+        "33a1200b758e0e836d12fd58c83193723015a1079b6d09d313b156c873996835"
+    )
+    assert family_sweep_sha256(lemma27_scan) == (
+        "a2914db152d47f23e9703d5e235a02bec519321f20047a905b4179691ad87d2c"
+    )
 
 
 FAMILY_ORACLE_CASES = [(r, n) for r in range(2, 6) for n in range(2 * r, 21)]
