@@ -16,8 +16,10 @@ It is made only for what is printed, and for float near-ties, decided as printed
 The enumeration adds one edge at a time and certifies a child only when the
 added edge maximises an isomorphism-invariant edge key (degree sum, smaller
 degree, common neighbours) among the child's edges. Every class still arises
-this way, from the deletion of one of its maximising edges; at order 8 about
-1.7 children per class are certified instead of 12.
+this way, from the deletion of one of its maximising edges. A parent tries one
+non-edge per orbit of its twin swaps, and both checks on a child read only the
+new edge's ends; at order 8 about 1.5 children per class are certified
+instead of 12.
 
 The construction-family scan needs neither labelling: it works from part sizes
 alone, taking each radius from a weighted (r+3)-cell graph, and builds no graph.
@@ -27,15 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
 from itertools import accumulate, chain, combinations, repeat
+from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .graphs import Graph, _reordered, bits, graph6_encode, u_graph
 from .graphs import _family_pattern, _y_graph_cells
-from .spectral import TIE_TOL, rotate_edges, spectral_radius
+from .spectral import TIE_TOL, _rho, rotate_edges, spectral_radius
 from .structure import (
     FeasibilityError,
     _contract_twins,
@@ -60,18 +62,23 @@ _CANONICAL_PERM_GUARD = 12
 # ---------------------------------------------------------------------
 
 
-def _untwinned(rows: Sequence[int], members: Iterable[int]) -> list[int]:
-    """The members that are neither open nor closed twins of an earlier member
-    (swapping two twins is an automorphism). One set holds both kinds of
-    neighbourhood: N(u) = N[v] would put v in N(u), so u in N[v] = N(u)."""
-    seen: set[int] = set()
-    out = []
+def _twin_heads(rows: Sequence[int], members: Sequence[int]) -> list[int]:
+    """Each member's first open or closed twin among ``members``, itself if none
+    comes earlier (swapping two twins is an automorphism). One dict holds both
+    kinds of neighbourhood: N(u) = N[v] would put v in N(u), so u in N[v] = N(u)."""
+    first: dict[int, int] = {}
+    heads = []
     for v in members:
         closed = rows[v] | (1 << v)
-        if rows[v] not in seen and closed not in seen:
-            out.append(v)
-        seen.update((rows[v], closed))
-    return out
+        h = first.get(rows[v], first.get(closed, v))
+        first[rows[v]] = first[closed] = h
+        heads.append(h)
+    return heads
+
+
+def _untwinned(rows: Sequence[int], members: Sequence[int]) -> list[int]:
+    """The members that are neither open nor closed twins of an earlier member."""
+    return [v for v, h in zip(members, _twin_heads(rows, members)) if v == h]
 
 
 def canonical_certificate(g: Graph) -> tuple[int, ...]:
@@ -102,13 +109,16 @@ def canonical_certificate(g: Graph) -> tuple[int, ...]:
             if best is None or cert < best:
                 best = cert
             continue
-        members = _untwinned(rows, bits(c))
+        members = _untwinned(rows, list(bits(c)))
         if len(members) == 1:  # one twin class: a vertex has open or closed twins, never both
             stack.append(cells[:idx] + [1 << v for v in bits(c)] + cells[idx + 1:])
             continue
         for v in members:
+            # cells is equitable, so refinement's first round splits each cell
+            # by adjacency to v alone, non-neighbours first
             child = cells[:idx] + [1 << v, c ^ (1 << v)] + cells[idx + 1:]
-            stack.append(color_refine(rows, child))
+            split = [h for d in child for h in (d & ~rows[v], d & rows[v]) if h]
+            stack.append(color_refine(rows, split))
     return best
 
 
@@ -210,58 +220,117 @@ def _edge_key(rows: Sequence[int], deg: list[int], u: int, v: int) -> tuple[int,
     return (deg[u] + deg[v], min(deg[u], deg[v]), (rows[u] & rows[v]).bit_count())
 
 
-def _is_max_edge(rows: Sequence[int], i: int, j: int) -> bool:
-    """Whether edge ij maximises ``_edge_key`` among the edges of ``rows``."""
+def _max_edge_children(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The non-edges ij that maximise ``_edge_key`` in rows + ij, one per orbit
+    of the twin-swap group of rows. An orbit is keyed by the unordered pair of
+    twin heads, and its first non-edge decides it: the key is invariant.
+
+    Adding ij raises no key: it adds one to the degrees of i and j and to the
+    common neighbours of an edge iu exactly when u is adjacent to j. So a key
+    of rows above ij's (``top``) rules ij out, the keys of the edges that avoid
+    i and j stay at or below ``top``, and only the edges at i and j need their
+    new keys. An edge au, a an end of ij and b the other, has degree sum
+    deg a + 1 + deg u against ij's deg a + deg b + 2: it outranks ij when
+    deg u > deg b + 1, and at deg u = deg b + 1 their smaller degrees are equal
+    too, so the common neighbours decide."""
+    n = len(rows)
     deg = [r.bit_count() for r in rows]
-    key = _edge_key(rows, deg, i, j)
-    top = key[0]
-    for u, row in enumerate(rows):
-        for v in bits(row >> (u + 1)):
-            v += u + 1
-            if deg[u] + deg[v] >= top and _edge_key(rows, deg, u, v) > key:
-                return False
-    return True
+    pairs = list(combinations(range(n), 2))
+    top = (0, 0, 0)
+    for u, v in pairs:
+        if (rows[u] >> v) & 1 and deg[u] + deg[v] >= top[0]:
+            top = max(top, _edge_key(rows, deg, u, v))
+    heads = _twin_heads(rows, range(n))
+    of_degree = [0] * (n + 2)  # of_degree[d], at_least[d]: the vertices of degree d, >= d
+    for v, d in enumerate(deg):
+        of_degree[d] |= 1 << v
+    at_least = list(accumulate(reversed(of_degree), or_))[::-1]
+    tried = set()
+    for i, j in pairs:
+        if (rows[i] >> j) & 1 or deg[i] + deg[j] + 2 < top[0]:
+            continue
+        orbit = (1 << heads[i]) | (1 << heads[j])
+        if orbit in tried:
+            continue
+        tried.add(orbit)
+        common = (rows[i] & rows[j]).bit_count()
+        if (deg[i] + deg[j] + 2, min(deg[i], deg[j]) + 1, common) < top:
+            continue
+        if rows[i] & at_least[deg[j] + 2] or rows[j] & at_least[deg[i] + 2]:
+            continue
+        if not any((rows[a] & rows[u]).bit_count() + ((rows[u] >> b) & 1) > common
+                   for a, b in ((i, j), (j, i)) for u in bits(rows[a] & of_degree[deg[b] + 1])):
+            yield i, j
 
 
-def _orderly_levels(n: int, keep: Callable[[Graph], bool]) -> Iterator[Graph]:
+def _clique_within(rows: Sequence[int], within: int, pages: int, s: int, k: int) -> bool:
+    """Whether an s-clique inside ``within`` has at least k common neighbours
+    inside ``pages``. The kernel runs on the rows masked to ``pages``: its
+    roots and its growth stay inside ``within``, its page count inside ``pages``."""
+    if s == 0:
+        return pages.bit_count() >= k
+    masked = [r & pages for r in rows]
+    if s == 1:
+        return any(masked[v].bit_count() >= k for v in bits(within))
+    return _find_clique(masked, list(bits(within)), s, k) is not None
+
+
+def _free_with_new_edge(prune_key, rows: Sequence[int], i: int, j: int) -> bool:
+    """Whether rows + ij has no K_q and no B(r,k), for prune_key (q, (r, k)),
+    given that rows has neither. A new copy must use ij, whose ends share the
+    neighbours C = N(i) & N(j). A new K_q is a K_{q-2} in C. A new B(r,k) holds
+    ij inside its r-clique, which is then an (r-2)-clique in C with k pages in C,
+    or as a clique-page edge, where an (r-1)-clique in C and one end form the
+    clique and the other end is a page beside k-1 common neighbours of that
+    clique inside the first end's neighbourhood."""
+    clique, book = prune_key
+    common = rows[i] & rows[j]
+    if clique is not None and _clique_within(rows, common, common, clique - 2, 0):
+        return False
+    if book is None:
+        return True
+    r, k = book
+    return not (
+        _clique_within(rows, common, common, r - 2, k)
+        or _clique_within(rows, common, rows[i], r - 1, k - 1)
+        or _clique_within(rows, common, rows[j], r - 1, k - 1)
+    )
+
+
+def _orderly_levels(n: int, prune_key) -> Iterator[Graph]:
     """Orderly generation by edge augmentation: every class with m edges
     arises from a class with m-1 edges plus one edge. A child G + ij is a
     candidate only if ij maximises ``_edge_key`` among its edges (the cheap
     half of McKay's canonical deletion, "Isomorph-free exhaustive generation",
-    J. Algorithms 26, 1998). Candidates that pass ``keep`` are certified as
-    they are made; the certificate rows dedupe and represent the next level's
-    classes and parent the level after. Levels come in ascending edge count.
+    J. Algorithms 26, 1998). Candidates free of the prune key's K_q and B(r,k)
+    are certified as they are made; the certificate rows dedupe and represent
+    the next level's classes and parent the level after. Levels come in
+    ascending edge count. The prune key needs q >= 2 and r >= 2, which the
+    edgeless start meets.
 
-    ``keep`` must be closed under edge deletion; it prunes whole subtrees
-    without losing any graph that satisfies it. No class is lost to the
-    filter either: take a kept H with m >= 1 edges and an edge e maximising
-    the key in H. H - e is kept, so level m-1 holds its representative
-    P = s(H - e) for a relabelling s, and the child P + s(e) = s(H) passes
-    the filter because the key is isomorphism-invariant."""
+    Each parent tries one non-edge per orbit of its twin-swap group: the
+    children of one orbit are isomorphic. Both checks on a child look only at
+    the new edge's ends and their neighbourhoods (``_max_edge_children``,
+    ``_free_with_new_edge``).
+
+    The prune is hereditary, so it cuts whole subtrees without losing any kept
+    graph. No class is lost to the edge-key filter either: take a kept H with
+    m >= 1 edges and an edge e maximising the key in H. H - e is kept, so level
+    m-1 holds its representative P = s(H - e) for a relabelling s, and the
+    child P + s(e) = s(H) passes the filter because the key is
+    isomorphism-invariant."""
     start = Graph._unchecked(n, tuple([0] * n))
-    if not keep(start):
-        return
     yield start
     level = {start.rows}
-    pairs = list(combinations(range(n), 2))
     while level:
         parents, level = level, set()
         for rows in parents:
-            deg = [r.bit_count() for r in rows]
-            # adding ij lowers no degree sum, so a parent edge whose sum already
-            # exceeds ij's sum in the child rules ij out
-            floor = max((deg[u] + deg[v] for u, v in pairs if (rows[u] >> v) & 1), default=0) - 2
-            for i, j in pairs:
-                if (rows[i] >> j) & 1 or deg[i] + deg[j] < floor:
-                    continue
-                cand_rows = list(rows)
-                cand_rows[i] |= 1 << j
-                cand_rows[j] |= 1 << i
-                if not _is_max_edge(cand_rows, i, j):
-                    continue
-                cand = Graph._unchecked(n, tuple(cand_rows))
-                if keep(cand):
-                    level.add(canonical_certificate(cand))
+            for i, j in _max_edge_children(rows):
+                if _free_with_new_edge(prune_key, rows, i, j):
+                    child = list(rows)
+                    child[i] |= 1 << j
+                    child[j] |= 1 << i
+                    level.add(canonical_certificate(Graph._unchecked(n, tuple(child))))
         for rows in level:
             yield Graph._unchecked(n, rows)
 
@@ -289,13 +358,24 @@ def _census(n: int, prune_key) -> Iterator[Graph]:
         raise FeasibilityError(
             f"enumeration guard: n <= {ENUMERATION_HARD_GUARD}, got {n}"
         )
-    return _orderly_levels(n, partial(_free_of, prune_key))
+    return _orderly_levels(n, prune_key)
+
+
+def _column_code(g: Graph) -> int:
+    """The column-major upper-triangle bits of g, first bit highest: graph6
+    writes the same bits, six to a character, so for one order the codes sort
+    as the strings do."""
+    code = 0
+    for j, row in enumerate(g.rows):
+        for i in range(j):
+            code = (code << 1) | ((row >> i) & 1)
+    return code
 
 
 def _published(graphs: Iterable[Graph]) -> list[Graph]:
     """The lex-min forms of ``graphs`` in published order: (order, edges, graph6)."""
     forms = [canonical_form(g) for g in graphs]
-    return sorted(forms, key=lambda g: (g.n, g.edge_count, graph6_encode(g)))
+    return sorted(forms, key=lambda g: (g.n, g.edge_count, _column_code(g)))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
@@ -424,11 +504,6 @@ def _extremal_search(
         feasible_count=len(values),
         ties_within_tol=tuple(g6 for g6, _ in champions) if len(champions) > 1 else (),
     )
-
-
-def _rho(g: Graph) -> float:
-    """Spectral radius; 0.0 for the order-0 graph, which spectral_radius rejects."""
-    return spectral_radius(g).rho if g.n else 0.0
 
 
 def spex_search(n: int, pred: PredicateSpec) -> SearchReport:
@@ -589,7 +664,7 @@ def hill_climb(
                 label = f"add {i}-{j}"
             if not pred.satisfies(cand):
                 continue
-            rho = spectral_radius(cand).rho
+            rho = _rho(cand)
             if rho > best_rho:
                 best_rho = rho
                 best_move = (label, cand)
@@ -605,7 +680,7 @@ def hill_climb(
                 cand = rotate_edges(g, u, v, s)
                 if not pred.satisfies(cand):
                     continue
-                rho = spectral_radius(cand).rho
+                rho = _rho(cand)
                 if rho > best_rho:
                     best_rho = rho
                     best_move = (f"rotate {v}->{u} ({len(s)} edges)", cand)
@@ -754,7 +829,7 @@ def _scan_liu_miao(max_n: int, tol: float) -> ConjectureScanReport:
         g = max(_published(h for rho, h in by_m[m] if rho >= top - TIE_TOL), key=_rho)
         rho, u = _rho(g), u_graph(m)
         entry = {"m": m, "champion_graph6": graph6_encode(g), "champion_rho": rho,
-                 "u_rho": spectral_radius(u).rho,
+                 "u_rho": _rho(u),
                  "champion_is_u": are_isomorphic(strip_isolated(g), u)}
         champions.append(entry)
         if rho > entry["u_rho"] + tol:

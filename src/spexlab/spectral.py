@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,12 +76,17 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def _eigh_dense(a: np.ndarray):
+    """(rho, finish) of a connected graph's matrix a by ``eigh``; finish() gives
+    the Perron vector (unit max-norm), the residual and 0 iterations."""
     w, v = np.linalg.eigh(a)
     rho = float(w[-1])
-    x = np.abs(v[:, -1])  # the Perron vector of a connected graph, up to sign
-    x /= x.max()
-    res = float(np.abs(a @ x - rho * x).max())
-    return rho, x, res, 0
+
+    def finish():
+        x = np.abs(v[:, -1])  # the Perron vector of a connected graph, up to sign
+        x /= x.max()
+        return x, float(np.abs(a @ x - rho * x).max()), 0
+
+    return rho, finish
 
 
 def _power_iterate_dense(a: np.ndarray, tol: float, max_iter: int, seed: int):
@@ -96,7 +101,7 @@ def _power_iterate_dense(a: np.ndarray, tol: float, max_iter: int, seed: int):
         rho = float(x @ ax) / float(x @ x)
         res = float(np.abs(ax - rho * x).max())
         if res <= tol:
-            return rho, x, res, it
+            return rho, lambda: (x, res, it)
         y = ax + x  # one step of A + I
         x = y / y.max()
     raise ConvergenceError(res, max_iter)
@@ -105,25 +110,56 @@ def _power_iterate_dense(a: np.ndarray, tol: float, max_iter: int, seed: int):
 def _solve_dense(
     a: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER, seed: int = 0
 ):
-    """(rho, x, residual, iterations) of a connected graph's matrix a."""
+    """(rho, finish) of a connected graph's matrix a; finish() gives (x, residual, iterations)."""
     if len(a) <= DENSE_MAX_N:
         return _eigh_dense(a)
     return _power_iterate_dense(a, tol, max_iter, seed)
 
 
 def _solve_quotient(rows: Sequence[int], n: int, classes: Sequence[Sequence[int]]):
-    """(rho, y, residual, 0) of a connected component from its at most
-    ``DENSE_MAX_N`` twin classes: y holds one value per class, and
-    |B y - rho y|_inf equals |A x - rho x|_inf for x, the blow-up of y."""
+    """(rho, finish) of a connected component from its at most ``DENSE_MAX_N``
+    twin classes. finish() gives the vector on the vertices of the classes in
+    turn, the blow-up of y (one value per class), with its residual
+    |B y - rho y|_inf, which equals |A x - rho x|_inf, and 0 iterations."""
     reps = [c[0] for c in classes]
     c = _bit_matrix([rows[v] for v in reps], n)[:, reps].astype(float)
     s = np.array([len(m) for m in classes], dtype=float)
     w, v = np.linalg.eigh(c * np.sqrt(np.outer(s, s)))  # diag(√s) C diag(√s)
     rho = float(w[-1])
-    y = np.abs(v[:, -1]) / np.sqrt(s)
-    y /= y.max()
-    res = float(np.abs((c * s) @ y - rho * y).max())  # B = C diag(s)
-    return rho, y, res, 0
+
+    def finish():
+        y = np.abs(v[:, -1]) / np.sqrt(s)
+        y /= y.max()
+        res = float(np.abs((c * s) @ y - rho * y).max())  # B = C diag(s)
+        return np.repeat(y, [len(m) for m in classes]), res, 0
+
+    return rho, finish
+
+
+def _top_component(g: Graph, tol: float, max_iter: int, seed: int):
+    """(rho, vertices, finish, component count) for the component whose radius
+    g reports: a later component wins only if its radius is larger by more than
+    ``TIE_TOL``. finish() gives its vector on those vertices, the residual and
+    the iteration count; nothing but the radius is computed before it is called."""
+    comps = g.components()
+    a = None  # the n x n matrix, built once a component needs it
+    best = None
+    for comp in comps:
+        classes = _twin_classes(g.rows, comp) if len(comp) > DENSE_MAX_N else None
+        if len(comp) == 1:
+            rho, verts, finish = 0.0, comp, lambda: (np.ones(1), 0.0, 0)
+        elif classes and len(classes) <= DENSE_MAX_N:
+            rho, finish = _solve_quotient(g.rows, g.n, classes)
+            verts = [v for m in classes for v in m]
+        else:
+            if a is None:
+                a = adjacency_matrix(g)
+            sub = a if len(comps) == 1 else a[np.ix_(comp, comp)]
+            rho, finish = _solve_dense(sub, tol, max_iter, seed)
+            verts = comp
+        if best is None or rho > best[0] + TIE_TOL:
+            best = (rho, verts, finish)
+    return (*best, len(comps))
 
 
 def spectral_radius(
@@ -151,26 +187,8 @@ def spectral_radius(
         raise ValueError("max_iter must be >= 1")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    comps = g.components()
-    a = None  # the n x n matrix, built once a component needs it
-    best: Optional[tuple[float, Sequence[int], np.ndarray, float, int]] = None
-    for comp in comps:
-        classes = _twin_classes(g.rows, comp) if len(comp) > DENSE_MAX_N else None
-        if len(comp) == 1:
-            rho, verts, vec, res, its = 0.0, comp, np.ones(1), 0.0, 0
-        elif classes and len(classes) <= DENSE_MAX_N:
-            rho, y, res, its = _solve_quotient(g.rows, g.n, classes)
-            verts = [v for m in classes for v in m]
-            vec = np.repeat(y, [len(m) for m in classes])
-        else:
-            if a is None:
-                a = adjacency_matrix(g)
-            sub = a if len(comps) == 1 else a[np.ix_(comp, comp)]
-            rho, vec, res, its = _solve_dense(sub, tol, max_iter, seed)
-            verts = comp
-        if best is None or rho > best[0] + TIE_TOL:
-            best = (rho, verts, vec, res, its)
-    rho, verts, vec, res, its = best
+    rho, verts, finish, count = _top_component(g, tol, max_iter, seed)
+    vec, res, its = finish()
     full = np.zeros(g.n)
     full[list(verts)] = vec
     return SpectralResult(
@@ -178,8 +196,15 @@ def spectral_radius(
         vector=tuple(full.tolist()),
         residual=res,
         iterations=its,
-        disconnected=len(comps) > 1,
+        disconnected=count > 1,
     )
+
+
+def _rho(g: Graph) -> float:
+    """``spectral_radius(g).rho`` from the same component split and solves, with
+    no vector, residual or result; 0.0 for the order-0 graph, which
+    ``spectral_radius`` rejects. The searches and scans read only this."""
+    return _top_component(g, DEFAULT_TOL, DEFAULT_MAX_ITER, 0)[0] if g.n else 0.0
 
 
 def rayleigh_quotient(g: Graph, x: Sequence[float]) -> float:

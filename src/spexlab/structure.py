@@ -123,15 +123,16 @@ def degeneracy_order(g: Graph) -> list[int]:
 def _find_clique(
     rows: Sequence[int], order: Sequence[int], r: int, k: int
 ) -> Optional[tuple[tuple[int, ...], int]]:
-    """The first r-clique (r >= 2) whose common neighbourhood has at least k
-    vertices, as ``(clique, common mask)``, or None. Roots come in ``order``;
-    a root's clique grows only from its neighbours later in ``order``, lowest
-    index first. A branch stops once its candidates cannot fill the clique.
+    """The first r-clique (r >= 2) inside ``order`` whose common neighbourhood
+    has at least k vertices, as ``(clique, common mask)``, or None. Roots come
+    in ``order``; a root's clique grows only from its neighbours later in
+    ``order``, lowest index first. A branch stops once its candidates cannot
+    fill the clique.
     """
     cand = [0] * r  # cand[d]: vertices that may extend clique[:d]
     common = [0] * r  # common[d]: common neighbours of clique[:d]
     clique = [0] * r
-    later = (1 << len(rows)) - 1
+    later = mask_of(order)
     for i, v in enumerate(order):
         if len(order) - i < r:
             break

@@ -6,7 +6,7 @@ import math
 import time
 import weakref
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -149,6 +149,8 @@ def test_canonical_forms_of_the_order7_census_are_pinned():
     (8, (3, None), 410, "ad73fdbe3ef61ab791e83c3bac393787da23d9ef7215284f34d9275bbc64c289"),
     (7, (None, (3, 2)), 855, "e052e1e542a0e42aa5155d6e131502fabe3081e6b0aa8f7312ef494d41115fd9"),
     (7, (None, None), 1044, "8ffd270f3d7086cc9443187c79238e1a3a74b35a66f87635a75e36f1fe425881"),
+    (8, (None, (3, 2)), 8861, "62fd4f2ab25a262f477daf63314a05bef10e3097635860ea4bbbdefd4ee4a993"),
+    (8, (None, (2, 3)), 4771, "4a2ceba5f96b4b21dc87df53ecc28c7f961b727f4aa1e06803269aa0fbcff0ac"),
 ])
 def test_census_certificate_rows_are_pinned(n, prune_key, count, digest):
     # the certificate rows of every class, sorted, so the pin does not depend
@@ -174,6 +176,15 @@ def test_book_census_builds_no_degeneracy_order(monkeypatch):
         "e052e1e542a0e42aa5155d6e131502fabe3081e6b0aa8f7312ef494d41115fd9")
 
 
+def is_max_edge(rows, i, j):
+    """Whether edge ij maximises the edge key among all edges of ``rows``: the
+    whole-graph scan that the census's incremental test replaces."""
+    deg = [r.bit_count() for r in rows]
+    key = search._edge_key(rows, deg, i, j)
+    return all(search._edge_key(rows, deg, u, v) <= key
+               for u in range(len(rows)) for v in bits(rows[u]) if u < v)
+
+
 def test_edge_key_maximisers_are_invariant():
     rng = np.random.default_rng(24)
     for _ in range(80):
@@ -183,12 +194,88 @@ def test_edge_key_maximisers_are_invariant():
         edges = list(g.edges())
         deg = [r.bit_count() for r in g.rows]
         top = max((search._edge_key(g.rows, deg, u, v) for u, v in edges), default=None)
-        best = {(u, v) for u, v in edges if search._is_max_edge(g.rows, u, v)}
+        best = {(u, v) for u, v in edges if is_max_edge(g.rows, u, v)}
         assert best == {(u, v) for u, v in edges
                         if search._edge_key(g.rows, deg, u, v) == top}
         assert bool(best) == bool(edges)
         moved = {tuple(sorted((perm[u], perm[v]))) for u, v in best}
-        assert moved == {(u, v) for u, v in h.edges() if search._is_max_edge(h.rows, u, v)}
+        assert moved == {(u, v) for u, v in h.edges() if is_max_edge(h.rows, u, v)}
+
+
+# every forbidden K_q and B(r,k) that the local checks are held to
+LOCAL_CHECK_KEYS = [(q, None) for q in (2, 3, 4, 5)] + [
+    (None, book) for book in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2))]
+
+
+def with_edge(rows, i, j):
+    child = list(rows)
+    child[i] |= 1 << j
+    child[j] |= 1 << i
+    return tuple(child)
+
+
+@pytest.mark.parametrize("n, census_key", [(7, (None, None)), (8, (4, None))])
+def test_local_child_checks_match_whole_child_oracles(n, census_key):
+    # every non-edge child of every class: the incremental edge-key test against
+    # the whole-child scan, the local K_q / B(r,k) test against whole-child
+    # _free_of for every key the parent is free of, and the twin heads as
+    # automorphisms (swapping a vertex with its head fixes the rows)
+    for parent in _census(n, census_key):
+        rows = parent.rows
+        heads = search._twin_heads(rows, range(n))
+        for v, h in enumerate(heads):
+            swap = list(range(n))
+            swap[v], swap[h] = h, v
+            assert parent.relabel(swap).rows == rows
+        keys = [key for key in LOCAL_CHECK_KEYS if search._free_of(key, parent)]
+        maximal = set()
+        for i, j in combinations(range(n), 2):
+            if (rows[i] >> j) & 1:
+                continue
+            child = with_edge(rows, i, j)
+            if is_max_edge(child, i, j):
+                maximal.add((1 << heads[i]) | (1 << heads[j]))
+            for key in keys:
+                assert search._free_with_new_edge(key, rows, i, j) == search._free_of(
+                    key, Graph._unchecked(n, child)), (rows, i, j, key)
+        # one maximising non-edge per twin orbit, and none that does not maximise
+        tried = list(search._max_edge_children(rows))
+        assert all(is_max_edge(with_edge(rows, i, j), i, j) for i, j in tried)
+        assert sorted((1 << heads[i]) | (1 << heads[j]) for i, j in tried) == sorted(maximal)
+
+
+def test_census_makes_no_whole_child_checks(monkeypatch):
+    # the order-8 K4-free census decides each child from the new edge's ends;
+    # twin-orbit pruning keeps its certificates under 9,800 (11,149 before it)
+    def refuse(*args):
+        raise AssertionError("the census checks children locally")
+
+    certified = []
+    certify = search.canonical_certificate
+    monkeypatch.setattr(search, "_free_of", refuse)
+    monkeypatch.setattr(search, "contains_clique", refuse)
+    monkeypatch.setattr(search, "canonical_certificate", lambda g: certified.append(g) or certify(g))
+    census = tuple(_census(8, (4, None)))
+    assert len(census) == 6431
+    assert len(certified) <= 9_800
+    rows = repr(sorted(g.rows for g in census)).encode()
+    assert hashlib.sha256(rows).hexdigest() == (
+        "d0d1022e8a18fcceac41c8157fec6b5c91ef81b328e42eed2f3ee3e7487489be")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 12), data=st.data())
+def test_column_codes_sort_as_graph6(n, data):
+    # _published sorts one order's classes by this integer instead of graph6
+    pairs = list(combinations(range(n), 2))
+    graphs = []
+    for mask in data.draw(st.lists(st.integers(0, 2 ** len(pairs) - 1), min_size=2, max_size=6)):
+        rows = [0] * n
+        for t, (i, j) in enumerate(pairs):
+            if (mask >> t) & 1:
+                rows = list(with_edge(rows, i, j))
+        graphs.append(Graph(n, tuple(rows)))
+    assert sorted(graphs, key=search._column_code) == sorted(graphs, key=graph6_encode)
 
 
 def test_census_counts_match_cycle_index():
@@ -280,9 +367,10 @@ def test_searches_hold_only_their_near_maximum_classes(monkeypatch):
         assert counts["made"] == rep.graphs_scanned == 6431, run.__name__
         assert counts["peak"] <= most, (run.__name__, counts["peak"])
         assert counts["live"] == 0, run.__name__
-        # the edge-key filter certifies about 1.7 children per class at order
-        # 8; certifying every child that passes the predicate costs 12.1
-        assert counts["certified"] <= 2 * counts["made"], run.__name__
+        # the edge-key filter and twin-orbit pruning certify about 1.5
+        # children per class at order 8; certifying every child that passes
+        # the predicate costs 12.1
+        assert counts["certified"] <= 1.6 * counts["made"], run.__name__
 
 
 @pytest.fixture(scope="module")

@@ -370,7 +370,8 @@ def test_more_than_64_twin_classes_keep_the_dense_path():
     res = spectral_radius(g)
     assert res.iterations > 0
     assert_matches_oracle(g, res)
-    rho, x, resid, its = spectral_mod._solve_dense(adjacency_matrix(g))
+    rho, finish = spectral_mod._solve_dense(adjacency_matrix(g))
+    x, resid, its = finish()
     assert (res.rho, res.vector, res.residual, res.iterations) == (rho, tuple(x), resid, its)
     with pytest.raises(ConvergenceError):
         spectral_radius(g, max_iter=2)
@@ -387,6 +388,18 @@ def test_disconnected_mixes_on_the_quotient_path():
     assert res.rho == pytest.approx(40.0, abs=1e-12)  # a tie: the first copy wins
     assert_matches_oracle(twice, res)
     assert all(x > 0 for x in res.vector[:80]) and not any(res.vector[80:])
+
+
+def test_rho_alone_is_the_reported_radius_bit_for_bit():
+    # the searches and scans read rho alone: the same component split and the
+    # same solves, on the dense, quotient and power-iteration paths, ties too
+    k40 = make_multipartite([40, 40])
+    graphs = list(_census(7, (None, None)))
+    graphs += [path_graph(100), y_graph(3, 3200), disjoint_union(k40, k40),
+               disjoint_union(disjoint_union(y_graph(3, 100), turan(3, 90)), empty_graph(2))]
+    for g in graphs:
+        assert spectral_mod._rho(g) == spectral_radius(g).rho
+    assert spectral_mod._rho(empty_graph(0)) == 0.0
 
 
 def test_twin_free_and_small_results_are_pinned():

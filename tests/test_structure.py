@@ -259,6 +259,15 @@ def test_clique_search_forms_each_clique_once():
                 assert rows.reads <= cliques, (g.rows, r, k)
 
 
+def test_clique_search_stays_inside_its_order():
+    # the census asks for cliques inside a vertex set: roots and growth stay in
+    # the order, while the common neighbourhood is read from the rows
+    rows = complete_graph(5).rows
+    assert _find_clique(rows, [0, 1, 2], 3, 0) == ((0, 1, 2), 0b11000)
+    assert _find_clique(rows, [0, 1], 3, 0) is None
+    assert _find_clique(rows, [3, 1], 2, 3) == ((3, 1), 0b10101)
+
+
 def test_deep_cliques_need_no_recursion():
     g = complete_graph(1010)
     assert contains_clique(g, 1005) and not contains_clique(g, 1011)
