@@ -43,7 +43,7 @@ from .graphs import (
 from .quotient import verify_lemma32
 from .random_graphs import random_connected_graph, random_multipartite
 from .search import PredicateSpec, conjecture_scan, ex_search, lemma27_scan, spex_search
-from .spectral import check_wilf, rotate_edges, spectral_radius
+from .spectral import _rho, check_wilf, rotate_edges, spectral_radius
 from .structure import chromatic_number, contains_generalized_book, is_color_critical, is_r_colorable
 
 
@@ -328,20 +328,18 @@ def _verify_rotation(trials: int, seed: int) -> int:
     while done < trials:
         n = int(rng.integers(4, 13))
         g = random_connected_graph(n, float(rng.uniform(0.15, 0.6)), rng)
-        res = spectral_radius(g)
-        x = res.vector
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
-        if u == v or x[u] < x[v]:
-            continue
-        s_mask = g.rows[v] & ~(g.rows[u] | (1 << u))
+        s_mask = g.rows[v] & ~(g.rows[u] | (1 << u))  # empty when u == v
         if not s_mask:
+            continue
+        res = spectral_radius(g)  # takes nothing from rng, so solving late keeps the stream
+        if res.vector[u] < res.vector[v]:
             continue
         s = [w for w in range(n) if (s_mask >> w) & 1 and rng.random() < 0.7]
         if not s:
             continue
-        g2 = rotate_edges(g, u, v, s)
-        gain = spectral_radius(g2).rho - res.rho
+        gain = _rho(rotate_edges(g, u, v, s)) - res.rho
         min_gain = min(min_gain, gain)
         if gain <= 1e-9:
             failures.append({"gain": gain, "graph6": graph6_encode(g)})

@@ -232,7 +232,7 @@ def check_wilf(g: Graph, r: int, tol: float = 1e-9) -> WilfReport:
     if not 0 <= tol < math.inf:  # nan fails too
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     bound = (1.0 - 1.0 / r) * g.n
-    rho = spectral_radius(g).rho
+    rho = _rho(g)
     return WilfReport(bound=bound, rho=rho, holds=rho <= bound + tol)
 
 

@@ -10,7 +10,7 @@ The clique/book search keeps its own stack too, so r is not bounded by
 recursion; its bitset rows are meant for a few thousand vertices. The public
 predicates add a root order, witnesses and their checks for users; callers
 that need only yes or no (the census, ``chromatic_number``) call the kernels
-``_find_clique`` and ``_dsatur`` directly.
+``_find_clique`` and ``_dsatur`` (``_colour`` on relabelled rows) directly.
 """
 
 from __future__ import annotations
@@ -241,21 +241,35 @@ def is_r_colorable(g: Graph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
     return True, tuple(full)
 
 
+def _by_degree(rows: Sequence[int]) -> tuple[list[int], list[int]]:
+    """``(order, rows with order[k] renamed k)``, order by (-degree, index):
+    ``_colour``'s lowest-bit choice then breaks saturation ties by degree."""
+    order = sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
+    return order, list(_reordered(rows, order))
+
+
 def _dsatur(rows: Sequence[int], r: int) -> tuple[Optional[list[int]], int]:
+    """``_colour`` on rows relabelled by ``_by_degree``, in ``rows``' labels."""
+    order, adj = _by_degree(rows)
+    colours, core = _colour(adj, r)
+    if colours is None:
+        return None, sum(1 << order[i] for i in bits(core))
+    return [c for _, c in sorted(zip(order, colours))], 0
+
+
+def _colour(adj: Sequence[int], r: int) -> tuple[Optional[list[int]], int]:
     """DSATUR backtracking (Brelaz, CACM 22(4), 1979) on bitset rows, with an
     explicit stack, so depth is bounded by memory rather than recursion.
 
     Each node colours the uncoloured vertex of highest saturation, then
-    highest degree, then lowest index, trying its colours in ascending order
-    with at most one brand-new colour. Returns ``(colours, 0)`` on success.
-    On failure it returns ``(None, core)``: the mask of every vertex the
-    search picked. The subgraph that ``core`` induces is not r-colourable
-    either, because every dead end was blocked by picked vertices only.
+    lowest index, trying its colours in ascending order with at most one
+    brand-new colour; the verdict is exact under any labelling. Returns
+    ``(colours, 0)`` on success. On failure it returns ``(None, core)``: the
+    mask of every vertex the search picked. The subgraph that ``core``
+    induces is not r-colourable either, because every dead end was blocked
+    by picked vertices only.
     """
-    n = len(rows)
-    # relabel by (-degree, index): the lowest bit of a mask is then the choice
-    order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
-    adj = _reordered(rows, order)
+    n = len(adj)
     uncoloured = (1 << n) - 1
     level = [0] * (r + 1)  # uncoloured vertices by saturation
     level[0] = uncoloured
@@ -279,7 +293,7 @@ def _dsatur(rows: Sequence[int], r: int) -> tuple[Optional[list[int]], int]:
             if c < limit:
                 break
             if not stack:
-                return None, sum(1 << order[i] for i in bits(picked))
+                return None, picked
             v, bit, s, used, c, newly = stack.pop()
             seen[c] ^= newly
             t = 1
@@ -304,7 +318,7 @@ def _dsatur(rows: Sequence[int], r: int) -> tuple[Optional[list[int]], int]:
             level[t + 1] |= x
             newly ^= x
             t -= 1
-        colour[order[v]] = c
+        colour[v] = c
         if c == used:
             used += 1
     return colour, 0
@@ -321,8 +335,9 @@ def _chromatic_number(g: Graph) -> int:
     if g.n == 0:
         return 0
     h, _ = _contract_twins(g)
+    adj = _by_degree(h.rows)[1]
     r = len(greedy_clique(h))
-    while _dsatur(h.rows, r)[0] is None:
+    while _colour(adj, r)[0] is None:
         r += 1
     return r
 
@@ -333,22 +348,26 @@ def is_color_critical(g: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
 
     Only edges inside a refutation core T are tried: G - e still contains
     G[T] when e is not inside T, so e cannot lower the chromatic number.
-    Each failed try shrinks T to its intersection with the core of G - e.
+    G is relabelled by degree once; each try toggles e in those rows, and
+    each failed try shrinks T to its intersection with the core of G - e.
     """
     if g.edge_count < 1:
         raise ValueError("colour-criticality needs at least one edge")
     k = chromatic_number(g) - 1
-    rows = list(g.rows)
-    _, core = _dsatur(rows, k)
+    order, adj = _by_degree(g.rows)
+    pos = {v: t for t, v in enumerate(order)}
+    clique = greedy_clique(g)  # a K_{k+1} is a core; else one failed colouring gives it
+    core = sum(1 << pos[v] for v in clique) if len(clique) > k else _colour(adj, k)[1]
     for i, j in g.edges():
-        if not (core >> i) & (core >> j) & 1:
+        a, b = pos[i], pos[j]
+        if not (core >> a) & (core >> b) & 1:
             continue
-        rows[i] ^= 1 << j
-        rows[j] ^= 1 << i
-        colors, sub = _dsatur(rows, k)
-        rows[i] ^= 1 << j
-        rows[j] ^= 1 << i
-        if colors is not None:
+        adj[a] ^= 1 << b
+        adj[b] ^= 1 << a
+        colours, sub = _colour(adj, k)
+        adj[a] ^= 1 << b
+        adj[b] ^= 1 << a
+        if colours is not None:
             return True, (i, j)
         core &= sub
     return False, None

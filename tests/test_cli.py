@@ -205,9 +205,9 @@ def test_check_colours_each_graph_once_for_chromatic_and_criticality(capsys, mon
     rng = np.random.default_rng(4)
     lines = "".join(graph6_encode(random_graph(int(rng.integers(10, 25)), 0.3, rng)) + "\n"
                     for _ in range(6))
-    real = structure_mod._dsatur
+    real = structure_mod._colour  # every colouring runs this kernel, through _dsatur or not
     calls = []
-    monkeypatch.setattr(structure_mod, "_dsatur", lambda rows, r: calls.append(r) or real(rows, r))
+    monkeypatch.setattr(structure_mod, "_colour", lambda adj, r: calls.append(r) or real(adj, r))
 
     def dsatur_calls(*flags):
         structure_mod._chromatic_number.cache_clear()
@@ -568,6 +568,23 @@ def test_scan_digests(capsys, argv, digest):
     # at r = 2, k = 3 prints 325 violations
     code, out, _ = run(capsys, "scan", "--kind", *argv)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_check_digest_on_a_dense_to_sparse_sweep(capsys, monkeypatch):
+    # sha256 of the whole stdout of check with every predicate on 40 seeded
+    # G(n, p): n climbs from 24 to 40 while p falls from 0.5 to 0.1, so the
+    # exact colouring meets dense small and sparse large graphs
+    rng = np.random.default_rng(0)
+    lines = []
+    for i in range(0, 120, 3):
+        p = 0.5 - 0.4 * ((i + 0.5) / 120) ** 1.5
+        lines.append(graph6_encode(random_graph(24 + (17 * i) // 120, p, rng)) + "\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
+    code, out, _ = run(capsys, "check", "--in", "-", "--book", "3,2", "--rpartite", "3",
+                       "--chromatic", "--color-critical")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+        "74f736c8f7ea95eed2adb2a6fc32652607ea546b7e6db6fca2a00eef0a8f82f4"
+    )
 
 
 @pytest.mark.parametrize("argv, digest", [

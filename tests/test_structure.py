@@ -9,7 +9,7 @@ from typing import Optional
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spexlab.graphs import (
@@ -412,23 +412,82 @@ def test_color_critical_matches_definition():
     assert critical > 20 and is_color_critical(grotzsch_graph())[0]
 
 
+@st.composite
+def twinned_graphs(draw) -> Graph:
+    """Order <= 9: a seeded G(n, p), then open or closed twins of drawn
+    vertices, then maybe a second component."""
+    rows = list(draw(seeded_graphs(max_n=7)).rows)
+    twins = draw(st.integers(0, 8 - len(rows))) if rows else 0
+    for _ in range(twins):
+        v = draw(st.integers(0, len(rows) - 1))
+        twin = rows[v] | draw(st.booleans()) << v  # closed twins are adjacent
+        for w in bits(twin):
+            rows[w] |= 1 << len(rows)
+        rows.append(twin)
+    g = Graph(len(rows), tuple(rows))
+    return disjoint_union(g, draw(seeded_graphs(max_n=9 - g.n))) if g.n < 9 else g
+
+
+@settings(max_examples=300, deadline=None)
+@given(twinned_graphs())
+def test_color_critical_matches_brute_force_with_twins_and_components(g):
+    assume(g.edge_count > 0)
+    e = brute_first_critical_edge(g)
+    assert is_color_critical(g) == (e is not None, e)
+
+
+def _kernel_spy(monkeypatch, g: Graph, removed: list):
+    """Spy on the colouring kernel: each call's rows are g relabelled by
+    (-degree, index), so map them back and record g's edges they lack."""
+    import spexlab.structure as structure_mod
+
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    pos = {v: t for t, v in enumerate(order)}
+    real = structure_mod._colour
+
+    def spy(adj, r):
+        removed.extend(e for e in g.edges() if not (adj[pos[e[0]]] >> pos[e[1]]) & 1)
+        return real(adj, r)
+
+    monkeypatch.setattr(structure_mod, "_colour", spy)
+
+
 def test_color_critical_tries_only_edges_inside_the_core(monkeypatch):
     # two disjoint K4: the first core is the first K4, so no edge of the second
     # one is ever deleted, and each deletion leaves a K4 behind
-    import spexlab.structure as structure_mod
-
     quads = [range(4), range(4, 8)]
     g = from_edges(8, [e for q in quads for e in combinations(q, 2)])
     removed = []
-    real = structure_mod._dsatur
-
-    def spy(rows, r):
-        removed.extend(e for e in g.edges() if not (rows[e[0]] >> e[1]) & 1)
-        return real(rows, r)
-
-    monkeypatch.setattr(structure_mod, "_dsatur", spy)
+    _kernel_spy(monkeypatch, g, removed)
     assert is_color_critical(g) == (False, None)
     assert removed == list(combinations(range(4), 2))
+
+
+def test_color_criticality_relabels_each_graph_once(monkeypatch):
+    # chi is known first (chromatic_number relabels the twin-contracted graph);
+    # then every try toggles one edge in a single relabelled copy of g
+    import spexlab.structure as structure_mod
+
+    real = structure_mod._reordered
+    relabels = []
+    monkeypatch.setattr(structure_mod, "_reordered",
+                        lambda rows, order: relabels.append(len(rows)) or real(rows, order))
+    rng = np.random.default_rng(23)
+    tries = graphs = 0
+    for _ in range(40):
+        g = random_graph(int(rng.integers(6, 22)), float(rng.uniform(0.2, 0.8)), rng)
+        if not g.edge_count:
+            continue
+        chromatic_number(g)
+        relabels.clear()
+        removed = []
+        with monkeypatch.context() as m:
+            _kernel_spy(m, g, removed)
+            is_color_critical(g)
+        assert relabels in ([], [g.n])
+        tries += len(removed)
+        graphs += 1
+    assert tries > 2 * graphs
 
 
 def test_deep_inputs_need_no_recursion():
