@@ -19,7 +19,9 @@ degree, common neighbours) among the child's edges. Every class still arises
 this way, from the deletion of one of its maximising edges. A parent tries one
 non-edge per orbit of its twin swaps, and both checks on a child read only the
 new edge's ends; at order 8 about 1.5 children per class are certified
-instead of 12.
+instead of 12. Each class is a parent once, so the searches and scans judge a
+class (feasibility, spectral radius) where it is expanded: in-process, or, for
+a large level, in a pool of forked workers, one per usable CPU.
 
 The construction-family scan needs neither labelling: it works from part sizes
 alone, taking each radius from a weighted (r+3)-cell graph, and builds no graph.
@@ -28,7 +30,10 @@ alone, taking each radius from a weighted (r+3)-cell graph, and builds no graph.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import accumulate, chain, combinations, repeat
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -297,21 +302,107 @@ def _free_with_new_edge(prune_key, rows: Sequence[int], i: int, j: int) -> bool:
     )
 
 
-def _orderly_levels(n: int, prune_key) -> Iterator[Graph]:
-    """Orderly generation by edge augmentation: every class with m edges
-    arises from a class with m-1 edges plus one edge. A child G + ij is a
-    candidate only if ij maximises ``_edge_key`` among its edges (the cheap
-    half of McKay's canonical deletion, "Isomorph-free exhaustive generation",
-    J. Algorithms 26, 1998). Candidates free of the prune key's K_q and B(r,k)
-    are certified as they are made; the certificate rows dedupe and represent
-    the next level's classes and parent the level after. Levels come in
-    ascending edge count. The prune key needs q >= 2 and r >= 2, which the
-    edgeless start meets.
+def _expand(job, task) -> tuple[int, set, Optional[list], int]:
+    """Expand one chunk of a census level. ``job`` is the census's (n,
+    prune_key, judge) and ``task`` is (index, parent rows). Returns the index,
+    the certified children, the judge's verdict on each parent (None without a
+    judge) and the number of certificates made.
 
     Each parent tries one non-edge per orbit of its twin-swap group: the
     children of one orbit are isomorphic. Both checks on a child look only at
     the new edge's ends and their neighbourhoods (``_max_edge_children``,
-    ``_free_with_new_edge``).
+    ``_free_with_new_edge``)."""
+    n, prune_key, judge = job
+    index, parents = task
+    children = set()
+    certified = 0
+    for rows in parents:
+        for i, j in _max_edge_children(rows):
+            if _free_with_new_edge(prune_key, rows, i, j):
+                child = list(rows)
+                child[i] |= 1 << j
+                child[j] |= 1 << i
+                children.add(canonical_certificate(Graph._unchecked(n, tuple(child))))
+                certified += 1
+    verdicts = None if judge is None else [judge(Graph._unchecked(n, rows)) for rows in parents]
+    return index, children, verdicts, certified
+
+
+# A level of at least this many parents is expanded by a pool of forked workers,
+# one per usable CPU. On 2 vCPUs (in-process, 8 alternating runs each) the
+# order-8 K4-free spex search took a median 0.92 s unpooled and 0.77, 0.76 and
+# 0.68 s pooled from 256, 128 and 64 parents; another 10 runs gave 0.66 s from
+# both 256 and 64. The order-7 connected search, whose largest level has 148
+# classes, took a median 0.11 s unpooled and 0.16 s pooled from 64 or 128 (10
+# runs): starting a pool costs about 45 ms, and orders <= 7 have no level of 256.
+_POOL_MIN_LEVEL = 256
+# Chunks per level and worker, and at most _MAX_CHUNK parents per chunk. Each
+# chunk is a round trip through the pool: on that order-8 search 8 per worker
+# took 0.85-1.16 s, 2 per worker 0.80-1.02 s (8 alternating runs), and the
+# order-9 B(3,1) search 11.3-12.4 s with 2, 4 or 8. Capping the chunks of the
+# order-10 B(3,1) search's large levels took its parent's peak RSS from 464 to
+# 407 MiB and each worker's from 137-139 to 37 MiB (332 and 322 s, one run each).
+_CHUNKS_PER_WORKER = 2
+_MAX_CHUNK = 8192
+_job = None  # in a pool worker: the (n, prune_key, judge) of the census that forked it
+
+
+def _install(job) -> None:
+    """Pool worker initialiser: the job arrives through the fork, unpickled, so
+    a judge may be any callable. ^C is left to the parent, which ends the pool."""
+    import signal
+
+    global _job
+    _job = job
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _expand_installed(task):
+    """``_expand`` in a pool worker. An exception that would not unpickle in the
+    parent would stop the pool's result thread and hang the census, so it is
+    sent as a RuntimeError naming it."""
+    try:
+        return _expand(_job, task)
+    except Exception as exc:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            raise RuntimeError(f"{type(exc).__name__}: {exc}") from None
+        raise
+
+
+def _pool_workers() -> int:
+    """The worker count of a census pool: one per usable CPU where processes
+    can be forked, else 1, which makes no pool."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _Census:
+    """The streamed, certificate-labelled order-n census pruned by ``prune_key``,
+    each class with ``judge``'s verdict on it (None without a judge); the one
+    entry to the enumeration, which checks 0 <= n <= ENUMERATION_HARD_GUARD
+    first. ``certified`` counts the certificates made so far, in whichever
+    process made them.
+
+    Orderly generation by edge augmentation: every class with m edges arises
+    from a class with m-1 edges plus one edge. A child G + ij is a candidate
+    only if ij maximises ``_edge_key`` among its edges (the cheap half of
+    McKay's canonical deletion, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998). Candidates free of the prune key's K_q and B(r,k)
+    are certified; the certificate rows dedupe and represent the next level's
+    classes and parent the level after. Levels come in ascending edge count,
+    the classes of one level in no fixed order. The prune key needs q >= 2 and
+    r >= 2, which the edgeless start meets.
+
+    Every class is a parent exactly once, so a level is expanded and judged in
+    one pass (``_expand``). A level of ``_POOL_MIN_LEVEL`` parents or more is
+    split into chunks for a pool of forked workers, made at the first such
+    level and ended before the census returns, also on an exception or an early
+    close; smaller levels, and every level on one CPU, are expanded in-process
+    by the same code. The children of the chunks are united, so neither the
+    chunking nor the workers' timing changes a level.
 
     The prune is hereditary, so it cuts whole subtrees without losing any kept
     graph. No class is lost to the edge-key filter either: take a kept H with
@@ -319,20 +410,56 @@ def _orderly_levels(n: int, prune_key) -> Iterator[Graph]:
     m-1 holds its representative P = s(H - e) for a relabelling s, and the
     child P + s(e) = s(H) passes the filter because the key is
     isomorphism-invariant."""
-    start = Graph._unchecked(n, tuple([0] * n))
-    yield start
-    level = {start.rows}
-    while level:
-        parents, level = level, set()
-        for rows in parents:
-            for i, j in _max_edge_children(rows):
-                if _free_with_new_edge(prune_key, rows, i, j):
-                    child = list(rows)
-                    child[i] |= 1 << j
-                    child[j] |= 1 << i
-                    level.add(canonical_certificate(Graph._unchecked(n, tuple(child))))
-        for rows in level:
-            yield Graph._unchecked(n, rows)
+
+    def __init__(self, n: int, prune_key, judge: Optional[Callable[[Graph], object]] = None):
+        if n < 0:
+            raise ValueError("order must be nonnegative")
+        if n > ENUMERATION_HARD_GUARD:
+            raise FeasibilityError(
+                f"enumeration guard: n <= {ENUMERATION_HARD_GUARD}, got {n}"
+            )
+        self.job = (n, prune_key, judge)
+        self.certified = 0
+
+    def __iter__(self) -> Iterator[tuple[Graph, object]]:
+        n = self.job[0]
+        level = {tuple([0] * n)}
+        pool, workers = None, _pool_workers()
+        try:
+            while level:
+                pooled = workers > 1 and len(level) >= _POOL_MIN_LEVEL
+                if pooled and pool is None:
+                    import multiprocessing  # about 22 ms: only a census with a large level pays it
+
+                    context = multiprocessing.get_context("fork")
+                    pool = context.Pool(workers, initializer=_install, initargs=(self.job,))
+                chunks = _chunks(level, workers if pooled else 1)
+                if pooled:
+                    results = pool.imap_unordered(_expand_installed, enumerate(chunks))
+                else:
+                    results = map(partial(_expand, self.job), enumerate(chunks))
+                level = set()
+                for index, children, verdicts, certified in results:
+                    level |= children
+                    self.certified += certified
+                    for rows, verdict in zip(chunks[index], verdicts or repeat(None)):
+                        yield Graph._unchecked(n, rows), verdict
+        except BaseException:  # an error, here or in a worker, or an early close
+            if pool is not None:
+                pool.terminate()
+            raise
+        finally:
+            if pool is not None:
+                pool.close()
+                pool.join()
+
+
+def _chunks(level: set, workers: int) -> list[list[tuple[int, ...]]]:
+    """``level`` in near-equal chunks, ``_CHUNKS_PER_WORKER`` per worker or more,
+    of at most ``_MAX_CHUNK`` parents."""
+    members = list(level)
+    size = min(-(-len(members) // (_CHUNKS_PER_WORKER * workers)), _MAX_CHUNK)
+    return [members[t : t + size] for t in range(0, len(members), size)]
 
 
 def _free_of(prune_key, g: Graph) -> bool:
@@ -350,15 +477,9 @@ def _colorable(g: Graph, r: int) -> bool:
 
 
 def _census(n: int, prune_key) -> Iterator[Graph]:
-    """The streamed, certificate-labelled order-n census pruned by ``prune_key``; the
-    one entry to the enumeration, which checks 0 <= n <= ENUMERATION_HARD_GUARD first."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if n > ENUMERATION_HARD_GUARD:
-        raise FeasibilityError(
-            f"enumeration guard: n <= {ENUMERATION_HARD_GUARD}, got {n}"
-        )
-    return _orderly_levels(n, prune_key)
+    """The classes of ``_Census(n, prune_key)`` without verdicts; the guard is
+    checked on the call."""
+    return (g for g, _ in _Census(n, prune_key))
 
 
 def _column_code(g: Graph) -> int:
@@ -479,12 +600,14 @@ def _extremal_search(
     the streamed, certificate-labelled census, holding a class only while it is
     within ``tie_tol`` of the running maximum: those left are the champions, named
     by their canonical graph6 string. The gap is to the best remaining class."""
+    def judge(g: Graph) -> Optional[float]:  # None: infeasible
+        return value(g) if pred._beyond_census(g) else None
+
     scanned, values, near, best = 0, [], [], -math.inf
-    for g in _census(n, pred.prune_key()):
+    for g, v in _Census(n, pred.prune_key(), judge):
         scanned += 1
-        if not pred._beyond_census(g):
+        if v is None:
             continue
-        v = value(g)
         values.append(v)
         if v > best:
             best = v
@@ -791,9 +914,9 @@ def _bound_sweep(max_n: int, book: tuple[int, int],
     within TIE_TOL of either edge is decided on its lex-min form, as printed."""
     key = PredicateSpec(forbid_book=book).prune_key()  # refuses r < 2 before 1 / r
     scanned, violations, witnesses = 0, [], []
-    for g in chain.from_iterable(_census(n, key) for n in range(1, max_n + 1)):
+    for g, rho in chain.from_iterable(_Census(n, key, _rho) for n in range(1, max_n + 1)):
         scanned += 1
-        rho, bound = _rho(g), _book_bound(book[0], g.edge_count)
+        bound = _book_bound(book[0], g.edge_count)
         if abs(abs(rho - bound) - tol) <= TIE_TOL:
             rho = _rho(_published([g])[0])
         if rho > bound + tol:
@@ -819,9 +942,12 @@ def _scan_nosal(max_n: int, k: int, tol: float) -> ConjectureScanReport:
 def _scan_liu_miao(max_n: int, tol: float) -> ConjectureScanReport:
     key = PredicateSpec(forbid_book=(2, 2)).prune_key()
     by_m: dict[int, list[tuple[float, Graph]]] = {}
-    for g in chain.from_iterable(_census(n, key) for n in range(3, max_n + 1)):
-        if not _colorable(g, 2):
-            by_m.setdefault(g.edge_count, []).append((_rho(g), g))
+    def judge(g: Graph) -> Optional[float]:  # None: bipartite
+        return None if _colorable(g, 2) else _rho(g)
+
+    for g, rho in chain.from_iterable(_Census(n, key, judge) for n in range(3, max_n + 1)):
+        if rho is not None:
+            by_m.setdefault(g.edge_count, []).append((rho, g))
     champions, violations = [], []
     for m in sorted(by_m):
         # a relabelling moves rho by ulps: the lex-min forms near the top decide

@@ -166,8 +166,10 @@ def contains_clique(g: Graph, q: int) -> bool:
     return _find_clique(g.rows, range(g.n), q, 0) is not None
 
 
+@lru_cache(maxsize=1)
 def greedy_clique(g: Graph) -> tuple[int, ...]:
-    """A maximal clique grown greedily from the densest remaining vertex."""
+    """A maximal clique grown greedily from the densest remaining vertex. The
+    last graph's clique is kept: ``check`` asks for it up to three times."""
     if g.n == 0:
         return ()
     clique = []
@@ -214,6 +216,11 @@ def _contract_twins(g: Graph) -> tuple[Graph, list[list[int]]]:
     return g.induced([c[0] for c in classes]), classes
 
 
+# the last graph's contraction, which is_r_colorable and the chromatic number of
+# one ``check`` line share; the census's colourability filter calls the uncached one
+_contracted = lru_cache(maxsize=1)(_contract_twins)
+
+
 def is_r_colorable(g: Graph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exact r-colourability with a verified witness colouring on success.
 
@@ -225,7 +232,7 @@ def is_r_colorable(g: Graph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
         raise ValueError("need r >= 1")
     if g.n == 0:
         return True, ()
-    h, members = _contract_twins(g)
+    h, members = _contracted(g)
     if len(greedy_clique(h)) > r:
         return False, None
     colors, _ = _dsatur(h.rows, r)
@@ -334,7 +341,7 @@ def chromatic_number(g: Graph) -> int:
 def _chromatic_number(g: Graph) -> int:
     if g.n == 0:
         return 0
-    h, _ = _contract_twins(g)
+    h, _ = _contracted(g)
     adj = _by_degree(h.rows)[1]
     r = len(greedy_clique(h))
     while _colour(adj, r)[0] is None:

@@ -114,16 +114,18 @@ def k4_free_order8():
 def shared_k4_free_order8(monkeypatch, k4_free_order8):
     """Criteria 5, 6 and 10 each search the order-8 K4-free census: the first
     to run enumerates it (inside its own timing) and the others share it."""
-    real = search._census
+    real = search._Census
 
-    def census(n, key):
+    def census(n, key, judge=None):
         if (n, key) != (8, (4, None)):
-            return real(n, key)
+            return real(n, key, judge)
         if not k4_free_order8:
-            k4_free_order8.extend(real(n, key))
-        return iter(k4_free_order8)
+            judged = list(real(n, key, judge))
+            k4_free_order8.extend(g for g, _ in judged)
+            return iter(judged)
+        return ((g, judge(g)) for g in k4_free_order8)
 
-    monkeypatch.setattr(search, "_census", census)
+    monkeypatch.setattr(search, "_Census", census)
 
 
 def test_criterion_5_spectral_turan_exhaustive(capfd, shared_k4_free_order8):

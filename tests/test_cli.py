@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import select
 import subprocess
@@ -23,6 +24,7 @@ from spexlab.graphs import (
 )
 from spexlab.random_graphs import random_graph
 from spexlab.search import canonical_graph6
+from spexlab.structure import FeasibilityError
 
 
 def run(capsys, *argv):
@@ -218,6 +220,24 @@ def test_check_colours_each_graph_once_for_chromatic_and_criticality(capsys, mon
 
     assert dsatur_calls("--chromatic") > 0
     assert dsatur_calls("--chromatic", "--color-critical") == dsatur_calls("--color-critical")
+
+
+def test_check_contracts_twins_and_grows_a_clique_once_per_graph(capsys, monkeypatch):
+    # is_r_colorable, the chromatic number and colour-criticality share the
+    # twin contraction h of each line's g and the greedy cliques of h and g
+    import spexlab.structure as structure_mod
+
+    graphs = [turan(3, 7), y_graph(3, 9), path_graph(5), complete_graph(4)]
+    with_twins = sum(structure_mod._contract_twins(g)[0] != g for g in graphs)
+    structure_mod._contracted.cache_clear()
+    structure_mod.greedy_clique.cache_clear()
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(graph6_encode(g) + "\n" for g in graphs)))
+    code, out, _ = run(capsys, "check", "--in", "-", "--rpartite", "3", "--chromatic",
+                       "--color-critical")
+    assert code == 0 and len(out.splitlines()) == len(graphs)
+    assert with_twins == 2
+    assert structure_mod._contracted.cache_info().misses == len(graphs)
+    assert structure_mod.greedy_clique.cache_info().misses == len(graphs) + with_twins
 
 
 def test_closed_stdout_is_a_quiet_success(tmp_path):
@@ -432,6 +452,50 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch, exc):
     code, out, err = run(capsys, "verify", "lemma32", "--n", "10")
     assert code == 3 and out == ""
     assert err == f"internal error: {exc.__name__}: boom\n"
+
+
+@pytest.mark.parametrize("exc, code", [
+    (FeasibilityError("raised while judging"), 2),
+    (ZeroDivisionError("raised while judging"), 3),
+    (RecursionError("maximum recursion depth exceeded"), 3),
+])
+def test_search_exception_in_a_census_worker_exits_as_in_process(capsys, monkeypatch, exc, code):
+    # the search's rho raises on the classes with 12 edges, which a pool worker
+    # judges when the level is pooled; no worker is left behind either way
+    import multiprocessing
+
+    import spexlab.search as search_mod
+
+    real = search_mod._rho
+
+    def rho(g):
+        if g.edge_count == 12:
+            raise exc
+        return real(g)
+
+    monkeypatch.setattr(search_mod, "_rho", rho)
+    monkeypatch.setattr(search_mod, "_pool_workers", lambda: 2)
+    results = []
+    for threshold in (1, math.inf):
+        monkeypatch.setattr(search_mod, "_POOL_MIN_LEVEL", threshold)
+        results.append(run(capsys, "search", "spex", "--n", "8", "--forbid-clique", "4"))
+        assert multiprocessing.active_children() == []
+    assert results[0] == results[1]
+    got, out, err = results[0]
+    assert got == code and out == ""
+    assert err.endswith(f"{exc}\n") and len(err.splitlines()) == 1
+
+
+def test_import_does_not_load_multiprocessing():
+    # the census imports it when it first starts a pool; at import it would add
+    # about 22 ms to every command's start-up
+    import spexlab
+
+    code = "import sys, spexlab.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spexlab.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_scan_cli(capsys):

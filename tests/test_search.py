@@ -3,6 +3,7 @@ cycle-index formula, and the exhaustive searches at known small cases."""
 
 import hashlib
 import math
+import threading
 import time
 import weakref
 from fractions import Fraction
@@ -250,14 +251,14 @@ def test_census_makes_no_whole_child_checks(monkeypatch):
     def refuse(*args):
         raise AssertionError("the census checks children locally")
 
-    certified = []
-    certify = search.canonical_certificate
     monkeypatch.setattr(search, "_free_of", refuse)
     monkeypatch.setattr(search, "contains_clique", refuse)
-    monkeypatch.setattr(search, "canonical_certificate", lambda g: certified.append(g) or certify(g))
-    census = tuple(_census(8, (4, None)))
+    # the census's own count: its certificates are made in whichever process
+    # expands the level (test_pooled_and_in_process_census_agree)
+    counted = search._Census(8, (4, None))
+    census = tuple(g for g, _ in counted)
     assert len(census) == 6431
-    assert len(certified) <= 9_800
+    assert counted.certified <= 9_800
     rows = repr(sorted(g.rows for g in census)).encode()
     assert hashlib.sha256(rows).hexdigest() == (
         "d0d1022e8a18fcceac41c8157fec6b5c91ef81b328e42eed2f3ee3e7487489be")
@@ -338,32 +339,31 @@ def test_searches_canonicalise_only_the_champions(monkeypatch):
 def test_searches_hold_only_their_near_maximum_classes(monkeypatch):
     # each census graph counts as live from its yield until it is freed: the
     # searches read the census once and hold only the classes near the maximum
-    counts = {"live": 0, "peak": 0, "made": 0, "certified": 0}
-    real = search._orderly_levels
-    certify = search.canonical_certificate
-
-    def counted_certificate(g):
-        counts["certified"] += 1
-        return certify(g)
+    counts = {"live": 0, "peak": 0, "made": 0}
+    real = search._Census
+    censuses = []
 
     def freed():
         counts["live"] -= 1
 
-    def counted(n, keep):
-        for g in real(n, keep):
+    def counted(n, keep, judge=None):
+        census = real(n, keep, judge)
+        censuses.append(census)
+        for g, verdict in census:
             counts["made"] += 1
             counts["live"] += 1
             counts["peak"] = max(counts["peak"], counts["live"])
             weakref.finalize(g, freed)
-            yield g
+            yield g, verdict
 
-    monkeypatch.setattr(search, "_orderly_levels", counted)
-    monkeypatch.setattr(search, "canonical_certificate", counted_certificate)
+    monkeypatch.setattr(search, "_Census", counted)
     # spex_search holds a handful; ex_search climbs one edge level at a time,
     # and the largest level of the order-8 K4-free census has 1,061 classes
     for run, most in ((spex_search, 16), (ex_search, 1099)):
-        counts.update(live=0, peak=0, made=0, certified=0)
+        counts.update(live=0, peak=0, made=0)
+        censuses.clear()
         rep = run(8, PredicateSpec(forbid_clique=4))
+        counts["certified"] = sum(census.certified for census in censuses)
         assert counts["made"] == rep.graphs_scanned == 6431, run.__name__
         assert counts["peak"] <= most, (run.__name__, counts["peak"])
         assert counts["live"] == 0, run.__name__
@@ -371,6 +371,124 @@ def test_searches_hold_only_their_near_maximum_classes(monkeypatch):
         # children per class at order 8; certifying every child that passes
         # the predicate costs 12.1
         assert counts["certified"] <= 1.6 * counts["made"], run.__name__
+
+
+def force_census_mode(monkeypatch, pooled):
+    """Expand every level in a pool of two forked workers (one CPU or more), or
+    every level in-process."""
+    monkeypatch.setattr(search, "_POOL_MIN_LEVEL", 1 if pooled else math.inf)
+    monkeypatch.setattr(search, "_pool_workers", lambda: 2)
+
+
+@pytest.mark.parametrize("n, key, digest", [
+    (7, (None, None), "8ffd270f3d7086cc9443187c79238e1a3a74b35a66f87635a75e36f1fe425881"),
+    (8, (4, None), "d0d1022e8a18fcceac41c8157fec6b5c91ef81b328e42eed2f3ee3e7487489be"),
+])
+def test_pooled_and_in_process_census_agree(monkeypatch, n, key, digest):
+    # the same classes and certificate count both ways, and in-process the
+    # count is the number of certificate calls; pooled, none is made here
+    calls = []
+    certify = search.canonical_certificate
+    monkeypatch.setattr(search, "canonical_certificate", lambda g: calls.append(g) or certify(g))
+    seen = []
+    for pooled in (True, False):
+        force_census_mode(monkeypatch, pooled)
+        calls.clear()
+        census = search._Census(n, key)
+        rows = repr(sorted(g.rows for g, _ in census)).encode()
+        assert hashlib.sha256(rows).hexdigest() == digest, pooled
+        assert len(calls) == (0 if pooled else census.certified), pooled
+        seen.append(census.certified)
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("pred", [
+    PredicateSpec(forbid_clique=4),
+    PredicateSpec(forbid_book=(3, 2)),
+    PredicateSpec(forbid_book=(3, 1), require_non_r_partite=3),
+])
+def test_pooled_and_in_process_searches_agree(monkeypatch, pred):
+    for run in (spex_search, ex_search):
+        reports = []
+        for pooled in (True, False):
+            force_census_mode(monkeypatch, pooled)
+            reports.append(run(8, pred).to_json_dict())
+        assert reports[0] == reports[1], run.__name__
+
+
+@pytest.mark.parametrize("kind", ["nosal_book", "liu_miao_U", "sqrt_2m_bound"])
+def test_pooled_and_in_process_scans_agree(monkeypatch, kind):
+    reports = []
+    for pooled in (True, False):
+        force_census_mode(monkeypatch, pooled)
+        reports.append(conjecture_scan(kind, 7).to_json_dict())
+    assert reports[0] == reports[1]
+
+
+def test_census_pool_judges_in_workers_and_ends_with_the_census(monkeypatch):
+    import multiprocessing
+    import os
+
+    monkeypatch.setattr(search, "_pool_workers", lambda: 2)
+    # levels 9 to 16 of the order-8 K4-free census have at least 256 classes
+    # (340 to 1,061), and only those are expanded and judged by the pool
+    judged = {g.edge_count: pid for g, pid in search._Census(8, (4, None), lambda g: os.getpid())}
+    assert {m for m, pid in judged.items() if pid != os.getpid()} == set(range(9, 17))
+    assert multiprocessing.active_children() == []
+    # closed after the first class of the first pooled level, other chunks in flight
+    census = iter(search._Census(8, (4, None)))
+    assert any(g.edge_count == 9 for g, _ in census)
+    assert multiprocessing.active_children()
+    census.close()
+    assert multiprocessing.active_children() == []
+
+    # the search's non-r-colourability filter raises in a worker
+    def colorable(g, r):
+        if g.edge_count == 12:
+            raise ArithmeticError(f"judged in process {os.getpid()}")
+        return real(g, r)
+
+    real = search._colorable
+    monkeypatch.setattr(search, "_colorable", colorable)
+    with pytest.raises(ArithmeticError, match="judged in process") as raised:
+        spex_search(8, PredicateSpec(forbid_clique=4, require_non_r_partite=3))
+    assert str(os.getpid()) not in str(raised.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_exceptions_that_would_not_unpickle_are_renamed(monkeypatch):
+    # an exception whose constructor takes other arguments than its message
+    # fails to unpickle in the parent, which would stop the pool's result
+    # thread; it arrives as a RuntimeError that names it
+    from spexlab.spectral import ConvergenceError
+
+    def rho(g):
+        raise ConvergenceError(0.5, 3)
+
+    def run():
+        try:
+            spex_search(7, PredicateSpec(forbid_clique=4))
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    force_census_mode(monkeypatch, True)
+    monkeypatch.setattr(search, "_rho", rho)
+    raised = []
+    searching = threading.Thread(target=run, daemon=True)
+    searching.start()
+    searching.join(timeout=60)
+    assert not searching.is_alive(), "the census hangs"
+    assert [type(exc) for exc in raised] == [RuntimeError]
+    assert str(raised[0]).startswith("ConvergenceError: power iteration did not converge in 3")
+
+
+def test_order9_non_3_partite_b31_champion_is_pinned():
+    # ROADMAP item 1's order-9 case; about 13 s on two CPUs with the census pool
+    rep = spex_search(9, PredicateSpec(forbid_book=(3, 1), require_non_r_partite=3))
+    assert rep.champions == (("H@vf~z{", 5.586148030011217),)
+    assert rep.gap_to_runner_up == 0.0035723350553773514
+    assert (rep.graphs_scanned, rep.feasible_count) == (103_164, 14_664)
+    assert rep.ties_within_tol == ()
 
 
 @pytest.fixture(scope="module")
@@ -397,7 +515,7 @@ def test_one_pass_search_matches_the_batch_definition(order6_census, data, tie_t
                              if v >= best - tie_tol))
     runner = max((v for v in values if v < best - tie_tol), default=None)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_census", lambda n, key: iter(census))
+        mp.setattr(search, "_Census", lambda n, key, judge: ((g, judge(g)) for g in census))
         rep = search._extremal_search(6, pred, "rho", lambda g: table[g.rows], tie_tol)
     assert rep.champions == champions
     assert rep.gap_to_runner_up == (None if runner is None else best - runner)
@@ -441,7 +559,8 @@ def test_bound_scans_decide_near_ties_on_the_printed_form(monkeypatch):
     lexmin = graph6_decode("GBj^V_")
     cert = Graph(8, canonical_certificate(lexmin))
     assert (spectral_radius(cert).rho, spectral_radius(lexmin).rho) == (4.0, 4.000000000000001)
-    monkeypatch.setattr(search, "_census", lambda n, key: (cert,) if n == 8 else ())
+    monkeypatch.setattr(search, "_Census",
+                        lambda n, key, judge: [(cert, judge(cert))] if n == 8 else [])
     rep = conjecture_scan("sqrt_2m_bound", 8, r=2, k=3, tol=0.0)
     assert rep.violations == ({"graph6": "GBj^V_", "rho": 4.000000000000001, "bound": 4.0, "m": 16},)
     rep = conjecture_scan("nosal_book", 8, k=3, tol=0.0)
