@@ -45,8 +45,8 @@ from .graphs import _family_pattern, _y_graph_cells
 from .spectral import TIE_TOL, _rho, rotate_edges, spectral_radius
 from .structure import (
     FeasibilityError,
+    _colour,
     _contract_twins,
-    _dsatur,
     _find_clique,
     chromatic_number,
     color_refine,
@@ -472,8 +472,8 @@ def _free_of(prune_key, g: Graph) -> bool:
 
 
 def _colorable(g: Graph, r: int) -> bool:
-    """r-colourability without a witness: DSATUR on the twin-contracted graph."""
-    return _dsatur(_contract_twins(g)[0].rows, r)[0] is not None
+    """r-colourability without a witness: the kernel on g's colouring view."""
+    return _colour(_contract_twins(g)[0].rows, r)[0] is not None
 
 
 def _census(n: int, prune_key) -> Iterator[Graph]:
@@ -603,28 +603,30 @@ def _extremal_search(
     def judge(g: Graph) -> Optional[float]:  # None: infeasible
         return value(g) if pred._beyond_census(g) else None
 
-    scanned, values, near, best = 0, [], [], -math.inf
+    scanned, feasible, near, best, runner = 0, 0, [], -math.inf, -math.inf
     for g, v in _Census(n, pred.prune_key(), judge):
         scanned += 1
         if v is None:
             continue
-        values.append(v)
+        feasible += 1
         if v > best:
             best = v
+            runner = max([runner] + [w for _, w in near if w < best - tie_tol])
             near = [(h, w) for h, w in near if w >= best - tie_tol]
         if v >= best - tie_tol:
             near.append((g, v))
+        else:
+            runner = max(runner, v)
     champions = tuple(sorted((canonical_graph6(g), v) for g, v in near))
-    runner = max((v for v in values if v < best - tie_tol), default=None)
     return SearchReport(
         n=n,
         predicate=pred,
         objective=objective,
         champions=champions,
-        gap_to_runner_up=None if runner is None else best - runner,
+        gap_to_runner_up=None if runner == -math.inf else best - runner,
         exhaustive=True,
         graphs_scanned=scanned,
-        feasible_count=len(values),
+        feasible_count=feasible,
         ties_within_tol=tuple(g6 for g6, _ in champions) if len(champions) > 1 else (),
     )
 

@@ -4,13 +4,13 @@ colour-criticality, cross-edge-maximising partitions, and degree-class splits.
 Everything here is exact (backtracking or exhaustive search). The colouring
 search keeps its own stack, so its depth is not bounded by recursion: paths
 and cycles of thousands of vertices colour in well under a second, while its
-worst case stays exponential (dense graphs of a few dozen vertices). Twins
-(vertices with identical neighbourhoods) are merged once before colouring.
+worst case stays exponential (dense graphs of a few dozen vertices). Every
+colouring reads ``_contract_twins``: twins merged once, in degree order.
 The clique/book search keeps its own stack too, so r is not bounded by
 recursion; its bitset rows are meant for a few thousand vertices. The public
 predicates add a root order, witnesses and their checks for users; callers
 that need only yes or no (the census, ``chromatic_number``) call the kernels
-``_find_clique`` and ``_dsatur`` (``_colour`` on relabelled rows) directly.
+``_find_clique`` and ``_colour`` directly.
 """
 
 from __future__ import annotations
@@ -207,35 +207,35 @@ def contains_generalized_book(
 # ---------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _contract_twins(g: Graph) -> tuple[Graph, list[list[int]]]:
-    """Merge vertices with identical open neighbourhoods (colour-equivalent).
-    One pass leaves no twins: deleting a twin never makes two non-twins equal."""
+    """g's colouring view: its open-twin classes by (-degree when contracted,
+    first member) and the contracted graph h with class k renamed k, the input
+    ``_colour`` expects. One pass leaves no twins: deleting a twin never makes
+    two non-twins equal. The last graph's view is kept for one ``check`` line."""
     classes = _twin_classes(g.rows, range(g.n))
-    if len(classes) == g.n:
+    heads = mask_of(c[0] for c in classes)
+    classes.sort(key=lambda c: (-(g.rows[c[0]] & heads).bit_count(), c[0]))
+    order = [c[0] for c in classes]
+    if order == list(range(g.n)):
         return g, classes
-    return g.induced([c[0] for c in classes]), classes
-
-
-# the last graph's contraction, which is_r_colorable and the chromatic number of
-# one ``check`` line share; the census's colourability filter calls the uncached one
-_contracted = lru_cache(maxsize=1)(_contract_twins)
+    return Graph._unchecked(len(order), _reordered(g.rows, order)), classes
 
 
 def is_r_colorable(g: Graph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exact r-colourability with a verified witness colouring on success.
 
-    DSATUR-ordered backtracking with first-colour symmetry breaking, after
-    merging identical-neighbourhood twins once (which never changes
-    colourability).
+    DSATUR-ordered backtracking with first-colour symmetry breaking on the
+    twin-contracted graph (merging twins never changes colourability).
     """
     if r < 1:
         raise ValueError("need r >= 1")
     if g.n == 0:
         return True, ()
-    h, members = _contracted(g)
+    h, members = _contract_twins(g)
     if len(greedy_clique(h)) > r:
         return False, None
-    colors, _ = _dsatur(h.rows, r)
+    colors, _ = _colour(h.rows, r)
     if colors is None:
         return False, None
     full = [0] * g.n
@@ -250,18 +250,9 @@ def is_r_colorable(g: Graph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
 
 def _by_degree(rows: Sequence[int]) -> tuple[list[int], list[int]]:
     """``(order, rows with order[k] renamed k)``, order by (-degree, index):
-    ``_colour``'s lowest-bit choice then breaks saturation ties by degree."""
+    the colouring view of a graph whose twins must stay apart."""
     order = sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
     return order, list(_reordered(rows, order))
-
-
-def _dsatur(rows: Sequence[int], r: int) -> tuple[Optional[list[int]], int]:
-    """``_colour`` on rows relabelled by ``_by_degree``, in ``rows``' labels."""
-    order, adj = _by_degree(rows)
-    colours, core = _colour(adj, r)
-    if colours is None:
-        return None, sum(1 << order[i] for i in bits(core))
-    return [c for _, c in sorted(zip(order, colours))], 0
 
 
 def _colour(adj: Sequence[int], r: int) -> tuple[Optional[list[int]], int]:
@@ -341,10 +332,9 @@ def chromatic_number(g: Graph) -> int:
 def _chromatic_number(g: Graph) -> int:
     if g.n == 0:
         return 0
-    h, _ = _contracted(g)
-    adj = _by_degree(h.rows)[1]
+    h = _contract_twins(g)[0]
     r = len(greedy_clique(h))
-    while _colour(adj, r)[0] is None:
+    while _colour(h.rows, r)[0] is None:
         r += 1
     return r
 
@@ -363,8 +353,9 @@ def is_color_critical(g: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
     k = chromatic_number(g) - 1
     order, adj = _by_degree(g.rows)
     pos = {v: t for t, v in enumerate(order)}
-    clique = greedy_clique(g)  # a K_{k+1} is a core; else one failed colouring gives it
-    core = sum(1 << pos[v] for v in clique) if len(clique) > k else _colour(adj, k)[1]
+    h, members = _contract_twins(g)
+    clique = [pos[members[c][0]] for c in greedy_clique(h)]  # one vertex per twin class
+    core = mask_of(clique) if len(clique) > k else _colour(adj, k)[1]  # a K_{k+1} is a core
     for i, j in g.edges():
         a, b = pos[i], pos[j]
         if not (core >> a) & (core >> b) & 1:
@@ -556,4 +547,4 @@ def is_complete_bipartite(g: Graph, ignore_isolated: bool = True) -> bool:
     Edgeless counts. Otherwise it must have exactly two open-twin classes: two
     adjacent twins would each lie in the other's neighbourhood, a loop."""
     h = strip_isolated(g) if ignore_isolated else g
-    return h.edge_count == 0 or len(_twin_classes(h.rows, range(h.n))) == 2
+    return h.edge_count == 0 or len(_contract_twins(h)[1]) == 2

@@ -207,7 +207,7 @@ def test_check_colours_each_graph_once_for_chromatic_and_criticality(capsys, mon
     rng = np.random.default_rng(4)
     lines = "".join(graph6_encode(random_graph(int(rng.integers(10, 25)), 0.3, rng)) + "\n"
                     for _ in range(6))
-    real = structure_mod._colour  # every colouring runs this kernel, through _dsatur or not
+    real = structure_mod._colour  # every colouring runs this kernel
     calls = []
     monkeypatch.setattr(structure_mod, "_colour", lambda adj, r: calls.append(r) or real(adj, r))
 
@@ -223,21 +223,21 @@ def test_check_colours_each_graph_once_for_chromatic_and_criticality(capsys, mon
 
 
 def test_check_contracts_twins_and_grows_a_clique_once_per_graph(capsys, monkeypatch):
-    # is_r_colorable, the chromatic number and colour-criticality share the
-    # twin contraction h of each line's g and the greedy cliques of h and g
+    # is_r_colorable, the chromatic number and colour-criticality share each
+    # line's colouring view, its twin contraction h, and the greedy clique of h
     import spexlab.structure as structure_mod
 
     graphs = [turan(3, 7), y_graph(3, 9), path_graph(5), complete_graph(4)]
-    with_twins = sum(structure_mod._contract_twins(g)[0] != g for g in graphs)
-    structure_mod._contracted.cache_clear()
+    with_twins = sum(len(structure_mod._contract_twins(g)[1]) < g.n for g in graphs)
+    structure_mod._contract_twins.cache_clear()
     structure_mod.greedy_clique.cache_clear()
     monkeypatch.setattr("sys.stdin", io.StringIO("".join(graph6_encode(g) + "\n" for g in graphs)))
     code, out, _ = run(capsys, "check", "--in", "-", "--rpartite", "3", "--chromatic",
                        "--color-critical")
     assert code == 0 and len(out.splitlines()) == len(graphs)
     assert with_twins == 2
-    assert structure_mod._contracted.cache_info().misses == len(graphs)
-    assert structure_mod.greedy_clique.cache_info().misses == len(graphs) + with_twins
+    assert structure_mod._contract_twins.cache_info().misses == len(graphs)
+    assert structure_mod.greedy_clique.cache_info().misses == len(graphs)
 
 
 def test_closed_stdout_is_a_quiet_success(tmp_path):

@@ -33,8 +33,9 @@ from spexlab.search import _census, enumerate_graphs
 from spexlab.structure import (
     FeasibilityError,
     Partition,
+    _by_degree,
+    _colour,
     _contract_twins,
-    _dsatur,
     _find_clique,
     chromatic_number,
     contains_clique,
@@ -124,6 +125,9 @@ def test_one_twin_contraction_leaves_no_twins():
         assert sorted(v for grp in members for v in grp) == list(range(g.n))
         assert all(len({g.rows[v] for v in grp}) == 1 for grp in members)
         assert h == g.induced([grp[0] for grp in members])
+        # the kernel's input: the contraction in first-member order, relabelled by degree
+        heads = sorted(grp[0] for grp in members)
+        assert list(h.rows) == _by_degree(g.induced(heads).rows)[1]
 
 
 def test_chromatic_number_knowns():
@@ -376,10 +380,20 @@ def seeded_graphs(draw, max_n: int = 14) -> Graph:
     return random_graph(n, p, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
 
+def dsatur(rows, r: int) -> tuple[Optional[list[int]], int]:
+    """The kernel on ``rows`` relabelled by degree, its colours and core in
+    ``rows``' labels."""
+    order, adj = _by_degree(rows)
+    colours, core = _colour(adj, r)
+    if colours is None:
+        return None, sum(1 << order[i] for i in bits(core))
+    return [c for _, c in sorted(zip(order, colours))], 0
+
+
 @settings(max_examples=400, deadline=None)
 @given(seeded_graphs(), st.integers(1, 6))
 def test_kernel_matches_recursive_reference(g, r):
-    colours, core = _dsatur(g.rows, r)
+    colours, core = dsatur(g.rows, r)
     assert colours == reference_color_backtrack(g, r)
     assert (core == 0) == (colours is not None)
 
@@ -390,7 +404,7 @@ def test_refutation_cores_are_not_colorable():
     for _ in range(300):
         g = random_graph(int(rng.integers(1, 11)), float(rng.uniform(0.2, 0.95)), rng)
         for r in range(1, 6):
-            colours, core = _dsatur(g.rows, r)
+            colours, core = dsatur(g.rows, r)
             if colours is None:
                 refuted += 1
                 assert core and core < 1 << g.n
