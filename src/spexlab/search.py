@@ -2,16 +2,15 @@
 searches built on it: spectral/edge maximisation under predicates, the
 construction-family scan, hill climbing, and the conjecture sweeps.
 
-Two labellings serve different purposes. The canonical certificate decides
-isomorphism: colour refinement plus individualisation (McKay & Piperno,
-"Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014), keeping the
-smallest relabelled row tuple over the leaves of the search tree; those rows
-are a graph of the class and represent it inside the enumeration. The
-canonical form is the published representative: the lex-min upper-triangle
-bit string over all vertex orderings (read column by column, so each new vertex
-appends its adjacency to the previous ones), found by a branch-and-bound that
-prunes by prefix dominance against the best string and by twin-class symmetry.
-It is made only for what is printed, and for float near-ties, decided as printed.
+One labelling names a class. The canonical certificate decides isomorphism:
+colour refinement plus individualisation (McKay & Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 60, 2014), keeping the smallest
+relabelled row tuple over the leaves of the search tree. Those rows are a graph
+of the class and a fixed point of the certificate. They represent the class
+inside the enumeration, every value the searches and scans compute is computed
+on them, and their graph6 string is the printed name, so a printed value is the
+value of the printed graph. Unlike a lex-min string, the name depends on this
+refinement and its cell order, as nauty's labels depend on nauty.
 
 The enumeration adds one edge at a time and certifies a child only when the
 added edge maximises an isomorphism-invariant edge key (degree sum, smaller
@@ -57,9 +56,6 @@ from .structure import (
 
 ENUMERATION_HARD_GUARD = 10
 FAMILY_CONFIG_GUARD = 20_000
-# lex-min form: the slowest of 52 sampled sparse graphs per order took 0.3-0.6 s
-# at n = 12, 0.9-1.5 s at n = 13 (2-vCPU VM, two runs); the searches need n <= 10
-_CANONICAL_PERM_GUARD = 12
 
 
 # ---------------------------------------------------------------------
@@ -79,11 +75,6 @@ def _twin_heads(rows: Sequence[int], members: Sequence[int]) -> list[int]:
         first[rows[v]] = first[closed] = h
         heads.append(h)
     return heads
-
-
-def _untwinned(rows: Sequence[int], members: Sequence[int]) -> list[int]:
-    """The members that are neither open nor closed twins of an earlier member."""
-    return [v for v, h in zip(members, _twin_heads(rows, members)) if v == h]
 
 
 def canonical_certificate(g: Graph) -> tuple[int, ...]:
@@ -114,9 +105,10 @@ def canonical_certificate(g: Graph) -> tuple[int, ...]:
             if best is None or cert < best:
                 best = cert
             continue
-        members = _untwinned(rows, list(bits(c)))
+        vertices = list(bits(c))  # those that are no twin of an earlier one branch
+        members = [v for v, h in zip(vertices, _twin_heads(rows, vertices)) if v == h]
         if len(members) == 1:  # one twin class: a vertex has open or closed twins, never both
-            stack.append(cells[:idx] + [1 << v for v in bits(c)] + cells[idx + 1:])
+            stack.append(cells[:idx] + [1 << v for v in vertices] + cells[idx + 1:])
             continue
         for v in members:
             # cells is equitable, so refinement's first round splits each cell
@@ -127,82 +119,10 @@ def canonical_certificate(g: Graph) -> tuple[int, ...]:
     return best
 
 
-def canonical_perm(g: Graph) -> list[int]:
-    """Ordering of the vertices (position -> vertex) whose column-block string
-    is lexicographically minimal.
-
-    Branch and bound over positions: candidates at each position are grouped
-    by their adjacency block to the prefix, visited in ascending block order,
-    pruned against the running best string (tracked with an equality flag so
-    each comparison is O(1)) and deduplicated by twin classes (vertices with
-    identical open or closed neighbourhoods are interchangeable). Raises
-    FeasibilityError above n = 12; ``canonical_certificate`` has no such guard.
-    """
-    n = g.n
-    if n > _CANONICAL_PERM_GUARD:
-        raise FeasibilityError(f"canonical form guard: n <= {_CANONICAL_PERM_GUARD}, got {n}")
-    if n <= 1:
-        return list(range(n))
-    rows = g.rows
-    best_blocks: list[int] = []
-    best_perm: list[int] = []
-    have_best = False
-    perm: list[int] = []
-    trail: list[int] = []
-
-    def rec(used: int, cand_blocks: list[int], tight: bool) -> bool:
-        # prefix is <= best throughout; returns True iff best was replaced
-        nonlocal have_best
-        j = len(perm)
-        if j == n:
-            if not have_best or not tight:
-                best_perm[:] = perm
-                best_blocks[:] = trail
-                have_best = True
-                return True
-            return False
-        # only the minimal block can start the minimum completion of this
-        # subtree (a smaller block at position j dominates all later bits)
-        members: list[int] = []
-        bmin = -1
-        for v in range(n):
-            if not (used >> v) & 1:
-                b = cand_blocks[v]
-                if bmin < 0 or b < bmin:
-                    bmin = b
-                    members = [v]
-                elif b == bmin:
-                    members.append(v)
-        if have_best and tight:
-            if bmin > best_blocks[j]:
-                return False
-            child_tight = bmin == best_blocks[j]
-        else:
-            child_tight = False
-        improved = False
-        for v in _untwinned(rows, members):
-            new_cand = cand_blocks[:]
-            for t in range(n):
-                if not (used >> t) & 1 and t != v:
-                    new_cand[t] = (cand_blocks[t] << 1) | ((rows[t] >> v) & 1)
-            perm.append(v)
-            trail.append(bmin)
-            sub = rec(used | (1 << v), new_cand, child_tight)
-            perm.pop()
-            trail.pop()
-            if sub:
-                # best now runs through this prefix and block value
-                improved = True
-                child_tight = True
-        return improved
-
-    rec(0, [0] * n, False)
-    return best_perm
-
-
 def canonical_form(g: Graph) -> Graph:
-    """The canonical representative of g's isomorphism class."""
-    return g.induced(canonical_perm(g))
+    """The canonical representative of g's isomorphism class: the graph on its
+    certificate rows, which is its own canonical form."""
+    return Graph._unchecked(g.n, canonical_certificate(g))
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -494,14 +414,13 @@ def _column_code(g: Graph) -> int:
 
 
 def _published(graphs: Iterable[Graph]) -> list[Graph]:
-    """The lex-min forms of ``graphs`` in published order: (order, edges, graph6)."""
-    forms = [canonical_form(g) for g in graphs]
-    return sorted(forms, key=lambda g: (g.n, g.edge_count, _column_code(g)))
+    """Certificate-labelled ``graphs`` in published order: (order, edges, graph6)."""
+    return sorted(graphs, key=lambda g: (g.n, g.edge_count, _column_code(g)))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
-    """One canonical (lex-min) representative per isomorphism class of order
-    n, ascending by edge count then by canonical string. Guarded at n <= 10."""
+    """One canonical (certificate-labelled) representative per isomorphism class
+    of order n, ascending by edge count then by graph6 string. Guarded at n <= 10."""
     yield from _published(_census(n, (None, None)))
 
 
@@ -567,7 +486,8 @@ class PredicateSpec:
 @dataclass(frozen=True)
 class SearchReport:
     """Champions of one exhaustive search, with tie diagnostics; champions are
-    named by their canonical (lex-min) graph6 string, in string order."""
+    named by their canonical (certificate) graph6 string, in string order, and
+    each value is that of the named graph."""
 
     n: int
     predicate: PredicateSpec
@@ -599,7 +519,7 @@ def _extremal_search(
     """Maximise ``value`` over the feasible classes of order n in one pass over
     the streamed, certificate-labelled census, holding a class only while it is
     within ``tie_tol`` of the running maximum: those left are the champions, named
-    by their canonical graph6 string. The gap is to the best remaining class."""
+    by their graph6 string. The gap is to the best remaining class."""
     def judge(g: Graph) -> Optional[float]:  # None: infeasible
         return value(g) if pred._beyond_census(g) else None
 
@@ -617,7 +537,7 @@ def _extremal_search(
             near.append((g, v))
         else:
             runner = max(runner, v)
-    champions = tuple(sorted((canonical_graph6(g), v) for g, v in near))
+    champions = tuple(sorted((graph6_encode(g), v) for g, v in near))
     return SearchReport(
         n=n,
         predicate=pred,
@@ -872,31 +792,37 @@ def conjecture_scan(
 def census_rows(n: int) -> Iterator[dict]:
     """Full-census dump rows: one dict per isomorphism class of order n with
     its graph6 string, order, size, spectral radius, chromatic number, and
-    connectivity/bipartiteness flags."""
-    for g in _published(_census(n, (None, None))):
-        chi = chromatic_number(g)
-        yield {
-            "graph6": graph6_encode(g),
-            "n": g.n,
-            "m": g.edge_count,
-            "rho": _rho(g),
-            "chi": chi,
-            "connected": g.is_connected(),
-            "bipartite": chi <= 2,
-        }
+    connectivity/bipartiteness flags. The census is read, and its guard
+    checked, on the call."""
+    return map(_census_row, _published(_census(n, (None, None))))
+
+
+def _census_row(g: Graph) -> dict:
+    chi = chromatic_number(g)
+    return {
+        "graph6": graph6_encode(g),
+        "n": g.n,
+        "m": g.edge_count,
+        "rho": _rho(g),
+        "chi": chi,
+        "connected": g.is_connected(),
+        "bipartite": chi <= 2,
+    }
 
 
 def write_census(n: int, g6_path, csv_path) -> int:
-    """Write the order-n census as graph6 lines plus a CSV of invariants."""
+    """Write the order-n census as graph6 lines plus a CSV of invariants. A
+    refused order leaves both files as they were."""
     import csv as _csv
 
     count = 0
+    rows = census_rows(n)
     with open(g6_path, "w", encoding="ascii") as g6f, open(
         csv_path, "w", newline="", encoding="ascii"
     ) as csvf:
         writer = _csv.writer(csvf)
         writer.writerow(["graph6", "n", "m", "rho", "chi", "connected", "bipartite"])
-        for row in census_rows(n):
+        for row in rows:
             g6f.write(row["graph6"] + "\n")
             writer.writerow([row["graph6"], row["n"], row["m"], row["rho"],
                              row["chi"], row["connected"], row["bipartite"]])
@@ -912,15 +838,12 @@ def _book_bound(r: int, m: int) -> float:
 def _bound_sweep(max_n: int, book: tuple[int, int],
                  tol: float) -> tuple[int, list[Graph], list[Graph]]:
     """The B(book)-free classes of order 1..max_n against rho <= _book_bound: their
-    count, violations and equality witnesses (|rho - bound| <= tol). A class
-    within TIE_TOL of either edge is decided on its lex-min form, as printed."""
+    count, violations and equality witnesses (|rho - bound| <= tol)."""
     key = PredicateSpec(forbid_book=book).prune_key()  # refuses r < 2 before 1 / r
     scanned, violations, witnesses = 0, [], []
     for g, rho in chain.from_iterable(_Census(n, key, _rho) for n in range(1, max_n + 1)):
         scanned += 1
         bound = _book_bound(book[0], g.edge_count)
-        if abs(abs(rho - bound) - tol) <= TIE_TOL:
-            rho = _rho(_published([g])[0])
         if rho > bound + tol:
             violations.append(g)
         elif abs(rho - bound) <= tol:
@@ -952,15 +875,13 @@ def _scan_liu_miao(max_n: int, tol: float) -> ConjectureScanReport:
             by_m.setdefault(g.edge_count, []).append((rho, g))
     champions, violations = [], []
     for m in sorted(by_m):
-        # a relabelling moves rho by ulps: the lex-min forms near the top decide
         top = max(rho for rho, _ in by_m[m])
-        g = max(_published(h for rho, h in by_m[m] if rho >= top - TIE_TOL), key=_rho)
-        rho, u = _rho(g), u_graph(m)
-        entry = {"m": m, "champion_graph6": graph6_encode(g), "champion_rho": rho,
+        g, u = _published(h for rho, h in by_m[m] if rho == top)[0], u_graph(m)
+        entry = {"m": m, "champion_graph6": graph6_encode(g), "champion_rho": top,
                  "u_rho": _rho(u),
                  "champion_is_u": are_isomorphic(strip_isolated(g), u)}
         champions.append(entry)
-        if rho > entry["u_rho"] + tol:
+        if top > entry["u_rho"] + tol:
             violations.append(entry)
     return ConjectureScanReport(
         kind="liu_miao_U",

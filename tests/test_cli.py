@@ -24,6 +24,7 @@ from spexlab.graphs import (
 )
 from spexlab.random_graphs import random_graph
 from spexlab.search import canonical_graph6
+from spexlab.spectral import _rho
 from spexlab.structure import FeasibilityError
 
 
@@ -562,14 +563,14 @@ def test_search_ex_csv_bytes(capsys):
     assert code == 0
     assert out == (
         "n,objective,graph6,value,gap_to_runner_up,exhaustive\r\n"
-        "8,edges,G?FnV_,13,1,True\r\n"
         "8,edges,G?NNf_,13,1,True\r\n"
+        "8,edges,G?`zv_,13,1,True\r\n"
     )
 
 
 def test_search_spex_bytes(capsys):
-    # a search names its champions with the lex-min string; the census itself
-    # is labelled by certificate
+    # a search names its champions by their certificate labelling, the census's
+    # own
     code, out, _ = run(capsys, "search", "spex", "--n", "7", "--forbid-clique", "4")
     assert code == 0
     assert out == (
@@ -582,7 +583,7 @@ def test_search_spex_bytes(capsys):
 
 
 def test_scan_bytes(capsys):
-    # a scan prints lex-min strings in (order, edges, graph6) order
+    # a scan prints certificate strings in (order, edges, graph6) order
     code, out, _ = run(capsys, "scan", "--kind", "nosal_book", "--max-n", "6", "--k", "2")
     assert code == 0
     assert out == (
@@ -605,25 +606,25 @@ def test_scan_bytes(capsys):
         ', "bound": 2.449489742783178}, {"graph6": "E@Rw", "rho": 2.7092753594369223'
         ', "bound": 2.6457513110645907}], "equality_witnesses": ["@", "A?", "A_"'
         ', "B?", "BG", "BW", "C?", "C@", "CB", "CF", "C]", "D??", "D?C", "D?K", "D?["'
-        ', "D?{", "DBW", "DJ_", "DFw", "E???", "E??G", "E??W", "E??w", "E?@w", "E?Ko"'
-        ', "E@L?", "E?Bw", "E?\\\\o", "E?~o", "EFz_", "ELv_"]'
+        ', "D?{", "DBW", "D`K", "DFw", "E???", "E??G", "E??W", "E??w", "E?@w", "E?Ko"'
+        ', "EGCW", "E?Bw", "E?\\\\o", "E?~o", "EFz_", "ELv_"]'
         ', "witnesses_all_complete_bipartite": false, "per_edge_champions": []}\n'
     )
 
 
 @pytest.mark.parametrize("argv, digest", [
     (["liu_miao_U", "--max-n", "7"],
-     "7957d71f43142633a942e36846ca42c3718dfc3df6471afef8690c2b609fc79a"),
+     "2d6ad293259c26b56e93dc7d97bc4026f51ac769e6c0b4e5b594ce2b016068d6"),
     (["sqrt_2m_bound", "--max-n", "7", "--r", "3", "--k", "1"],
      "91fe1b76703374bdc1eb7f72202ee89ee64e1e80fce67df12cc74cbdcfdc37a7"),
     (["liu_miao_U", "--max-n", "8"],
-     "e1b008c92d0847621a1f0a5cd7a37be303e4255d2be4d75fdf17c025f406bae8"),
+     "d663605ef023783c8952425bf9d9c743ef0876bc7ca90a0454ce79bb88f84a95"),
     (["nosal_book", "--max-n", "8", "--k", "2"],
-     "14256dc8284c86ed9a2cc0ce36633d56be225c309fef4d974ae570a9caf1b892"),
+     "4b05bc75e3d685ac9e3ebe7a4422ddf2dfe62b2e04cdac430288f2f37426adbc"),
     (["sqrt_2m_bound", "--max-n", "8", "--r", "3", "--k", "1"],
      "479782bbb8a1d5cb082ee4111f787a46b59c1c4647b9113ebbe6594b601ef1dd"),
     (["sqrt_2m_bound", "--max-n", "7", "--r", "2", "--k", "3"],
-     "c6b7ae7f6827ae3579fcb2d22a7ba068b8908dc077fbedeb5d9594d49e482db2"),
+     "7e875dc704fdcfa19428e0586be01065801e8a85e472b19818eea330540f24da"),
 ], ids=["liu_miao_U", "sqrt_2m_bound", "liu_miao_U-8", "nosal_book-8", "sqrt_2m_bound-8",
         "sqrt_2m_bound-r2k3"])
 def test_scan_digests(capsys, argv, digest):
@@ -632,6 +633,46 @@ def test_scan_digests(capsys, argv, digest):
     # at r = 2, k = 3 prints 325 violations
     code, out, _ = run(capsys, "scan", "--kind", *argv)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def printed_rhos(doc: dict) -> list[tuple[str, float]]:
+    """Every (graph6, rho) pair a search or scan prints: champions, violations
+    and per-m champions."""
+    pairs = [tuple(c) for c in doc.get("champions", [])]
+    for d in doc.get("violations", []) + doc.get("per_edge_champions", []):
+        pairs.append((d.get("graph6", d.get("champion_graph6")), d.get("rho", d.get("champion_rho"))))
+    return pairs
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "spex", "--n", "8", "--forbid-clique", "4"],
+    ["search", "spex", "--n", "8", "--forbid-book", "3,2", "--non-r-partite", "3"],
+    ["search", "spex", "--n", "8", "--forbid-book", "3,1", "--non-r-partite", "3"],
+    ["scan", "--kind", "nosal_book", "--max-n", "7"],
+    ["scan", "--kind", "liu_miao_U", "--max-n", "7"],
+    ["scan", "--kind", "sqrt_2m_bound", "--max-n", "7"],
+], ids=["spex-K4", "spex-B32", "spex-B31", "nosal_book", "liu_miao_U", "sqrt_2m_bound"])
+def test_printed_rho_is_the_rho_of_the_printed_graph(capsys, argv):
+    # a relabelling can move rho's last digits, so every printed value must be
+    # computed on the printed labelling to reproduce exactly
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    pairs = printed_rhos(json.loads(out))
+    assert pairs
+    for g6, rho in pairs:
+        assert _rho(graph6_decode(g6)) == rho, g6
+
+
+def test_sqrt_2m_scan_reports_no_violation_at_equality(capsys):
+    # GJemnO has rho = sqrt(16) exactly, and eigh gives 4.0 on that labelling,
+    # which the scan decides on and prints: at tol 0 it is no violation
+    code, out, _ = run(capsys, "scan", "--kind", "sqrt_2m_bound", "--max-n", "8",
+                       "--r", "2", "--k", "3", "--tol", "0")
+    assert code == 0
+    pairs = printed_rhos(json.loads(out))
+    assert len(pairs) == 1428
+    assert "GJemnO" not in {g6 for g6, _ in pairs}
+    assert all(_rho(graph6_decode(g6)) == rho for g6, rho in pairs)
 
 
 def test_check_digest_on_a_dense_to_sparse_sweep(capsys, monkeypatch):
