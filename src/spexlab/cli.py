@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
 from fractions import Fraction
 from functools import partial
 from typing import Optional
@@ -43,7 +42,7 @@ from .graphs import (
 from .quotient import verify_lemma32
 from .random_graphs import random_connected_graph, random_multipartite
 from .search import PredicateSpec, conjecture_scan, ex_search, lemma27_scan, spex_search
-from .spectral import _rho, check_wilf, rotate_edges, spectral_radius
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, _rho, check_wilf, rotate_edges, spectral_radius
 from .structure import chromatic_number, contains_generalized_book, is_color_critical, is_r_colorable
 
 
@@ -101,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="graph6 file or - for stdin")
     # eigh solves components of at most 64 vertices or at most 64 twin
     # classes; these three flags drive the power iteration on the other ones
-    p.add_argument("--tol", default=1e-10, type=_checked(
+    p.add_argument("--tol", default=DEFAULT_TOL, type=_checked(
         float, lambda tol: 0 < tol < math.inf, "tol must be positive and finite, got {}"))
-    p.add_argument("--maxiter", type=_int_at_least(1), default=1_000_000)
+    p.add_argument("--maxiter", type=_int_at_least(1), default=DEFAULT_MAX_ITER)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("check", help="structural predicates for each input graph")
@@ -215,7 +214,7 @@ def _each_graph(args, doc_of) -> int:
 
 def _spectrum_doc(args, g: Graph) -> dict:
     res = spectral_radius(g, tol=args.tol, max_iter=args.maxiter, seed=args.seed)
-    return {"order": g.n, "size": g.edge_count, **asdict(res)}
+    return {"order": g.n, "size": g.edge_count, **vars(res)}
 
 
 def _check_doc(args, g: Graph) -> dict:
@@ -225,18 +224,18 @@ def _check_doc(args, g: Graph) -> dict:
         has, witness = contains_generalized_book(g, r, k)
         out["book"] = [r, k]
         out["contains_book"] = has
-        out["book_witness"] = list(witness) if witness else None
+        out["book_witness"] = list(witness) if witness is not None else None
     if args.rpartite is not None:
         ok, coloring = is_r_colorable(g, args.rpartite)
         out["rpartite"] = args.rpartite
         out["is_r_partite"] = ok
-        out["coloring"] = list(coloring) if coloring else None
+        out["coloring"] = list(coloring) if coloring is not None else None
     if args.chromatic:
         out["chromatic"] = chromatic_number(g)
     if args.color_critical:
         has, edge = is_color_critical(g)
         out["color_critical"] = has
-        out["critical_edge"] = list(edge) if edge else None
+        out["critical_edge"] = list(edge) if edge is not None else None
     return out
 
 
@@ -261,24 +260,23 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Run one pipeline, emit its report and exit on its last key, ``pass``."""
     if args.pipeline == "lemma32":
-        rep = verify_lemma32(args.n)
-        _emit(rep.to_json_dict())
-        return 0 if rep.ok else 1
-    if args.pipeline == "lemma27":
+        doc = verify_lemma32(args.n).to_json_dict()
+    elif args.pipeline == "lemma27":
         rep = lemma27_scan(args.r, args.n)
-        out = rep.to_json_dict()
-        out["pass"] = rep.unique  # unique requires argmax_is_y
-        _emit(out)
-        return 0 if out["pass"] else 1
-    if args.pipeline == "lemma28":
-        return _verify_lemma28(args.r, args.n_max)
-    if args.pipeline == "wilf":
-        return _verify_wilf(args.r, args.n_max, args.trials, args.seed)
-    return _verify_rotation(args.trials, args.seed)
+        doc = {**rep.to_json_dict(), "pass": rep.unique}  # unique requires argmax_is_y
+    elif args.pipeline == "lemma28":
+        doc = _verify_lemma28(args.r, args.n_max)
+    elif args.pipeline == "wilf":
+        doc = _verify_wilf(args.r, args.n_max, args.trials, args.seed)
+    else:
+        doc = _verify_rotation(args.trials, args.seed)
+    _emit(doc)
+    return 0 if doc["pass"] else 1
 
 
-def _verify_lemma28(r: int, n_max: int) -> int:
+def _verify_lemma28(r: int, n_max: int) -> dict:
     if r < 2 or n_max < 2 * r:
         raise _InputError("need r >= 2 and n-max >= 2r")
     bad = []
@@ -291,13 +289,11 @@ def _verify_lemma28(r: int, n_max: int) -> int:
         )
         if not (identity and lower):
             bad.append({"n": n, "identity": identity, "lower_bound": lower})
-    ok = not bad
-    _emit({"pipeline": "lemma28", "r": r, "n_max": n_max,
-           "checked": n_max - 2 * r + 1, "failures": bad, "pass": ok})
-    return 0 if ok else 1
+    return {"pipeline": "lemma28", "r": r, "n_max": n_max,
+            "checked": n_max - 2 * r + 1, "failures": bad, "pass": not bad}
 
 
-def _verify_wilf(r: int, n_max: int, trials: int, seed: int) -> int:
+def _verify_wilf(r: int, n_max: int, trials: int, seed: int) -> dict:
     if r < 1 or n_max < r + 1:
         raise _InputError("need r >= 1 and n-max > r")
     rng = np.random.default_rng(seed)
@@ -313,14 +309,12 @@ def _verify_wilf(r: int, n_max: int, trials: int, seed: int) -> int:
         worst = max(worst, rep.rho - rep.bound)
         if not rep.holds:
             failures.append({"n": n, "rho": rep.rho, "bound": rep.bound})
-    ok = not failures
-    _emit({"pipeline": "wilf", "r": r, "n_max": n_max, "trials": trials,
-           "seed": seed, "worst_margin": worst, "failures": failures,
-           "pass": ok})
-    return 0 if ok else 1
+    return {"pipeline": "wilf", "r": r, "n_max": n_max, "trials": trials,
+            "seed": seed, "worst_margin": worst, "failures": failures,
+            "pass": not failures}
 
 
-def _verify_rotation(trials: int, seed: int) -> int:
+def _verify_rotation(trials: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     done = 0
     min_gain = math.inf
@@ -344,10 +338,8 @@ def _verify_rotation(trials: int, seed: int) -> int:
         if gain <= 1e-9:
             failures.append({"gain": gain, "graph6": graph6_encode(g)})
         done += 1
-    ok = not failures
-    _emit({"pipeline": "rotation", "trials": trials, "seed": seed,
-           "min_gain": min_gain, "failures": failures, "pass": ok})
-    return 0 if ok else 1
+    return {"pipeline": "rotation", "trials": trials, "seed": seed,
+            "min_gain": min_gain, "failures": failures, "pass": not failures}
 
 
 def _cmd_scan(args) -> int:

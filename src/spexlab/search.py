@@ -45,7 +45,6 @@ from .spectral import TIE_TOL, _rho, rotate_edges, spectral_radius
 from .structure import (
     FeasibilityError,
     _colour,
-    _contract_twins,
     _find_clique,
     chromatic_number,
     color_refine,
@@ -392,8 +391,9 @@ def _free_of(prune_key, g: Graph) -> bool:
 
 
 def _colorable(g: Graph, r: int) -> bool:
-    """r-colourability without a witness: the kernel on g's colouring view."""
-    return _colour(_contract_twins(g)[0].rows, r)[0] is not None
+    """r-colourability without a witness: the kernel on g's own rows, as
+    ``_free_of`` runs the clique kernel; the twin view is ``check``'s."""
+    return _colour(g.rows, r)[0] is not None
 
 
 def _census(n: int, prune_key) -> Iterator[Graph]:
@@ -836,16 +836,16 @@ def _book_bound(r: int, m: int) -> float:
 
 
 def _bound_sweep(max_n: int, book: tuple[int, int],
-                 tol: float) -> tuple[int, list[Graph], list[Graph]]:
+                 tol: float) -> tuple[int, dict[Graph, float], list[Graph]]:
     """The B(book)-free classes of order 1..max_n against rho <= _book_bound: their
-    count, violations and equality witnesses (|rho - bound| <= tol)."""
+    count, violations with their rho, and equality witnesses (|rho - bound| <= tol)."""
     key = PredicateSpec(forbid_book=book).prune_key()  # refuses r < 2 before 1 / r
-    scanned, violations, witnesses = 0, [], []
+    scanned, violations, witnesses = 0, {}, []
     for g, rho in chain.from_iterable(_Census(n, key, _rho) for n in range(1, max_n + 1)):
         scanned += 1
         bound = _book_bound(book[0], g.edge_count)
         if rho > bound + tol:
-            violations.append(g)
+            violations[g] = rho
         elif abs(rho - bound) <= tol:
             witnesses.append(g)
     return scanned, violations, witnesses
@@ -857,7 +857,7 @@ def _scan_nosal(max_n: int, k: int, tol: float) -> ConjectureScanReport:
         kind="nosal_book",
         params={"max_n": max_n, "k": k},
         scanned=scanned,
-        violations=tuple({"graph6": graph6_encode(g), "rho": _rho(g),
+        violations=tuple({"graph6": graph6_encode(g), "rho": violations[g],
                           "bound": math.sqrt(g.edge_count)} for g in _published(violations)),
         equality_witnesses=tuple(graph6_encode(g) for g in _published(witnesses)),
         witnesses_all_complete_bipartite=all(is_complete_bipartite(g) for g in witnesses),
@@ -898,7 +898,7 @@ def _scan_sqrt_2m(max_n: int, r: int, k: int, tol: float) -> ConjectureScanRepor
         kind="sqrt_2m_bound",
         params={"max_n": max_n, "r": r, "k": k},
         scanned=scanned,
-        violations=tuple({"graph6": graph6_encode(g), "rho": _rho(g),
+        violations=tuple({"graph6": graph6_encode(g), "rho": violations[g],
                           "bound": _book_bound(r, g.edge_count), "m": g.edge_count}
                          for g in _published(violations)),
     )

@@ -4,8 +4,8 @@ colour-criticality, cross-edge-maximising partitions, and degree-class splits.
 Everything here is exact (backtracking or exhaustive search). The colouring
 search keeps its own stack, so its depth is not bounded by recursion: paths
 and cycles of thousands of vertices colour in well under a second, while its
-worst case stays exponential (dense graphs of a few dozen vertices). Every
-colouring reads ``_contract_twins``: twins merged once, in degree order.
+worst case stays exponential (dense graphs of a few dozen vertices). The
+public colourings read ``_contract_twins``: twins merged once, in degree order.
 The clique/book search keeps its own stack too, so r is not bounded by
 recursion; its bitset rows are meant for a few thousand vertices. The public
 predicates add a root order, witnesses and their checks for users; callers

@@ -723,20 +723,52 @@ def test_search_spex_order_zero(capsys):
     assert doc["feasible_count"] == doc["graphs_scanned"] == 1
 
 
-def test_verify_failure_exit_code_and_json(capsys, monkeypatch):
+def _break_pipeline(monkeypatch, pipeline):
+    """Make one check of a verify pipeline fail."""
+    import dataclasses
+
     import spexlab.cli as cli_mod
     from spexlab.quotient import Lemma32Report, lemma32_polynomial
+    from spexlab.search import FamilyScanReport
 
-    fake = Lemma32Report(
-        n=9, poly_match=False, mismatch_index=2, sign_ok=True,
-        rho_quotient=1.0, rho_dense=1.0, rho_agree=True,
-        above_lower_bound=True, scaled_polynomial=lemma32_polynomial(9),
-    )
-    monkeypatch.setattr(cli_mod, "verify_lemma32", lambda n: fake)
-    code, out, _ = run(capsys, "verify", "lemma32", "--n", "9")
+    if pipeline == "lemma32":
+        fake = Lemma32Report(
+            n=9, poly_match=False, mismatch_index=2, sign_ok=True,
+            rho_quotient=1.0, rho_dense=1.0, rho_agree=True,
+            above_lower_bound=True, scaled_polynomial=lemma32_polynomial(9),
+        )
+        monkeypatch.setattr(cli_mod, "verify_lemma32", lambda n: fake)
+    elif pipeline == "lemma27":
+        fake = FamilyScanReport(r=4, n=30, max_rho=22.0, argmax_is_y=True, configs_scanned=910,
+                                gap_to_non_isomorphic=0.0, unique=False)
+        monkeypatch.setattr(cli_mod, "lemma27_scan", lambda r, n: fake)
+    elif pipeline == "lemma28":
+        monkeypatch.setattr(cli_mod, "y_graph", turan)  # T_r(n) has n // r - 1 edges too many
+    elif pipeline == "wilf":
+        real = cli_mod.check_wilf
+        monkeypatch.setattr(cli_mod, "check_wilf",
+                            lambda g, r: dataclasses.replace(real(g, r), holds=False))
+    else:
+        monkeypatch.setattr(cli_mod, "rotate_edges", lambda g, u, v, s: g)
+
+
+@pytest.mark.parametrize("argv, failed", [
+    (["lemma32", "--n", "9"], {"mismatch_index": 2}),
+    (["lemma27", "--r", "4", "--n", "30"], {"unique": False}),
+    (["lemma28", "--r", "3", "--n-max", "8"], {"failures": [
+        {"n": n, "identity": False, "lower_bound": True} for n in (6, 7, 8)]}),
+    (["wilf", "--r", "3", "--n-max", "20", "--trials", "4"], {}),
+    (["rotation", "--trials", "4"], {"min_gain": 0.0}),
+], ids=["lemma32", "lemma27", "lemma28", "wilf", "rotation"])
+def test_verify_failure_exit_code_and_json(capsys, monkeypatch, argv, failed):
+    _break_pipeline(monkeypatch, argv[0])
+    code, out, _ = run(capsys, "verify", *argv)
     assert code == 1
-    doc = json.loads(out)  # failure output is still valid JSON
-    assert doc["pass"] is False and doc["mismatch_index"] == 2
+    doc = strict_json(out)  # failure output is still strict JSON
+    assert list(doc)[-1] == "pass" and doc["pass"] is False
+    assert {key: doc[key] for key in failed} == failed
+    if "trials" in doc:  # every trial failed
+        assert len(doc["failures"]) == doc["trials"]
 
 
 def test_output_is_json_even_on_verification_failure(capsys):
@@ -744,3 +776,11 @@ def test_output_is_json_even_on_verification_failure(capsys):
     # pipeline instead: lemma28 with r too small is a usage error (exit 2)
     code, _, err = run(capsys, "verify", "lemma28", "--r", "1", "--n-max", "10")
     assert code == 2 and "need r >= 2" in err
+
+
+def test_check_order_zero_prints_an_empty_colouring(capsys, monkeypatch):
+    # the order-0 graph is r-partite with the empty colouring, not with none
+    monkeypatch.setattr("sys.stdin", io.StringIO("?\n"))
+    code, out, _ = run(capsys, "check", "--in", "-", "--rpartite", "1")
+    assert code == 0
+    assert out == '{"order": 0, "size": 0, "rpartite": 1, "is_r_partite": true, "coloring": []}\n'

@@ -506,6 +506,30 @@ def test_pooled_and_in_process_scans_agree(monkeypatch, kind):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("kind", ["nosal_book", "sqrt_2m_bound"])
+def test_bound_scans_print_the_rho_the_census_judged(monkeypatch, kind):
+    # each class is solved once, by its judge; at r = 2, k = 3 a second solve of
+    # each of the 1,423 order-8 sqrt_2m_bound violations made 6,966 solves
+    calls = []
+    real = search._rho
+    monkeypatch.setattr(search, "_rho", lambda g: calls.append(g) or real(g))
+    force_census_mode(monkeypatch, False)
+    rep = conjecture_scan(kind, 8, r=2, k=3)
+    assert rep.violations and len(calls) == rep.scanned
+
+
+def test_census_filter_colours_members_as_they_are(monkeypatch):
+    # the twin-contracted colouring view is check's; the search colours the
+    # census members' own rows
+    from spexlab.structure import _contract_twins
+
+    force_census_mode(monkeypatch, False)
+    misses = _contract_twins.cache_info().misses
+    rep = spex_search(8, PredicateSpec(forbid_book=(3, 1), require_non_r_partite=3))
+    assert rep.feasible_count > 0
+    assert _contract_twins.cache_info().misses == misses
+
+
 def test_census_pool_judges_in_workers_and_ends_with_the_census(monkeypatch):
     import multiprocessing
     import os
