@@ -4,8 +4,8 @@ colour-criticality, cross-edge-maximising partitions, and degree-class splits.
 Everything here is exact (backtracking or exhaustive search). The colouring
 search keeps its own stack, so its depth is not bounded by recursion: paths
 and cycles of thousands of vertices colour in well under a second, while its
-worst case stays exponential (dense graphs of a few dozen vertices). The
-public colourings read ``_contract_twins``: twins merged once, in degree order.
+worst case stays exponential (dense graphs of a few dozen vertices). Every
+public predicate reads ``_contract_twins``: twins merged once, in degree order.
 The clique/book search keeps its own stack too, so r is not bounded by
 recursion; its bitset rows are meant for a few thousand vertices. The public
 predicates add a root order, witnesses and their checks for users; callers
@@ -163,7 +163,8 @@ def contains_clique(g: Graph, q: int) -> bool:
     """True iff g has a clique on q vertices (subgraph containment)."""
     if q <= 1:
         return q <= 0 or g.n >= 1
-    return _find_clique(g.rows, range(g.n), q, 0) is not None
+    h = _contract_twins(g)[0]  # open twins are never adjacent: a clique meets a class once
+    return _find_clique(h.rows, range(h.n), q, 0) is not None
 
 
 @lru_cache(maxsize=1)
@@ -189,6 +190,8 @@ def contains_generalized_book(
     That is exactly subgraph containment of the generalized book (K_r joined
     to k independent vertices): any k common neighbours of an r-clique carry
     the required pages. The witness lists the clique then k pages, ascending.
+    Cutting each twin class to its first k members keeps a book: a clique
+    vertex's twins are not its pages, and a class of pages needs only k.
     """
     if r < 2:
         raise ValueError("need r >= 2")
@@ -196,9 +199,12 @@ def contains_generalized_book(
         raise ValueError("need k >= 1")
     if g.n < r + k:
         return False, None
-    found = _find_clique(g.rows, degeneracy_order(g), r, k)
-    if found is None:
-        return False, None
+    keep = sorted(v for grp in _contract_twins(g)[1] for v in grp[:k])
+    cut = [g.induced(keep)] if len(keep) < g.n else []
+    for graph in cut + [g]:  # decide on the cut, then name the witness on g
+        found = _find_clique(graph.rows, degeneracy_order(graph), r, k)
+        if found is None:
+            return False, None
     return True, found[0] + tuple(islice(bits(found[1]), k))
 
 
@@ -209,10 +215,10 @@ def contains_generalized_book(
 
 @lru_cache(maxsize=1)
 def _contract_twins(g: Graph) -> tuple[Graph, list[list[int]]]:
-    """g's colouring view: its open-twin classes by (-degree when contracted,
-    first member) and the contracted graph h with class k renamed k, the input
-    ``_colour`` expects. One pass leaves no twins: deleting a twin never makes
-    two non-twins equal. The last graph's view is kept for one ``check`` line."""
+    """g's view for every public predicate: its open-twin classes (members
+    ascending) by (-degree when contracted, first member) and the contracted
+    graph h, class k renamed k. One pass leaves no twins: deleting a twin never
+    makes two non-twins equal. The last graph's view is kept for ``check``."""
     classes = _twin_classes(g.rows, range(g.n))
     heads = mask_of(c[0] for c in classes)
     classes.sort(key=lambda c: (-(g.rows[c[0]] & heads).bit_count(), c[0]))
@@ -246,13 +252,6 @@ def is_r_colorable(g: Graph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
         if full[i] == full[j]:
             raise AssertionError("internal error: witness colouring is improper")
     return True, tuple(full)
-
-
-def _by_degree(rows: Sequence[int]) -> tuple[list[int], list[int]]:
-    """``(order, rows with order[k] renamed k)``, order by (-degree, index):
-    the colouring view of a graph whose twins must stay apart."""
-    order = sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
-    return order, list(_reordered(rows, order))
 
 
 def _colour(adj: Sequence[int], r: int) -> tuple[Optional[list[int]], int]:
@@ -343,31 +342,33 @@ def is_color_critical(g: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff removing some edge lowers the chromatic number; returns the
     first such edge in ``edges()`` order.
 
-    Only edges inside a refutation core T are tried: G - e still contains
-    G[T] when e is not inside T, so e cannot lower the chromatic number.
-    G is relabelled by degree once; each try toggles e in those rows, and
-    each failed try shrinks T to its intersection with the core of G - e.
+    An edge at a vertex a with a twin is never critical: G - ab contains
+    G - a, whose view is G's. For twinless a and b, G - ab is a blow-up of
+    h - ab (h the view), so a try toggles ab in one copy of h's rows. Only
+    edges inside a refutation core T are tried (h - e contains h[T] if e is
+    not in T); each failed try shrinks T to its meet with the core of h - e.
     """
     if g.edge_count < 1:
         raise ValueError("colour-criticality needs at least one edge")
     k = chromatic_number(g) - 1
-    order, adj = _by_degree(g.rows)
-    pos = {v: t for t, v in enumerate(order)}
     h, members = _contract_twins(g)
-    clique = [pos[members[c][0]] for c in greedy_clique(h)]  # one vertex per twin class
+    adj, clique = list(h.rows), greedy_clique(h)
     core = mask_of(clique) if len(clique) > k else _colour(adj, k)[1]  # a K_{k+1} is a core
-    for i, j in g.edges():
-        a, b = pos[i], pos[j]
-        if not (core >> a) & (core >> b) & 1:
-            continue
-        adj[a] ^= 1 << b
-        adj[b] ^= 1 << a
-        colours, sub = _colour(adj, k)
-        adj[a] ^= 1 << b
-        adj[b] ^= 1 << a
-        if colours is not None:
-            return True, (i, j)
-        core &= sub
+    pos = {grp[0]: c for c, grp in enumerate(members) if len(grp) == 1}
+    single = mask_of(pos)
+    for i in bits(single):
+        for j in bits(g.rows[i] & single & -(2 << i)):  # twinless neighbours j > i
+            a, b = pos[i], pos[j]
+            if not (core >> a) & (core >> b) & 1:
+                continue
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+            colours, sub = _colour(adj, k)
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+            if colours is not None:
+                return True, (i, j)
+            core &= sub
     return False, None
 
 
@@ -547,4 +548,4 @@ def is_complete_bipartite(g: Graph, ignore_isolated: bool = True) -> bool:
     Edgeless counts. Otherwise it must have exactly two open-twin classes: two
     adjacent twins would each lie in the other's neighbourhood, a loop."""
     h = strip_isolated(g) if ignore_isolated else g
-    return h.edge_count == 0 or len(_contract_twins(h)[1]) == 2
+    return h.edge_count == 0 or len(_twin_classes(h.rows, range(h.n))) == 2

@@ -268,7 +268,6 @@ def test_census_makes_no_whole_child_checks(monkeypatch):
         raise AssertionError("the census checks children locally")
 
     monkeypatch.setattr(search, "_free_of", refuse)
-    monkeypatch.setattr(search, "contains_clique", refuse)
     # the census's own count: its certificates are made in whichever process
     # expands the level (test_pooled_and_in_process_census_agree)
     counted = search._Census(8, (4, None))

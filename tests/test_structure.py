@@ -3,7 +3,7 @@ isomorphism oracle, colour-criticality, partitions, degree classes."""
 
 import hashlib
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations, product
 from typing import Optional
 
 import networkx as nx
@@ -33,7 +33,6 @@ from spexlab.search import _census, enumerate_graphs
 from spexlab.structure import (
     FeasibilityError,
     Partition,
-    _by_degree,
     _colour,
     _contract_twins,
     _find_clique,
@@ -58,6 +57,21 @@ def naive_subgraph_contains(g: Graph, h: Graph) -> bool:
         if all(g.has_edge(image[a], image[b]) for a, b in hedges):
             return True
     return False
+
+
+def random_blow_up(rng, max_n: int = 30) -> Graph:
+    """A random 0/1 pattern on at most 6 vertices with each vertex blown up
+    into a class of 1-5 open twins, at most max_n vertices in all, the
+    classes' members interleaved by a random labelling."""
+    m = int(rng.integers(1, 7))
+    sizes = []
+    for t in range(m):  # leave each later class at least one vertex
+        sizes.append(int(rng.integers(1, min(5, max_n - sum(sizes) - (m - 1 - t)) + 1)))
+    cls = rng.permutation([t for t, size in enumerate(sizes) for _ in range(size)])
+    pattern = np.triu(rng.random((m, m)) < rng.uniform(0.3, 1.0), 1)
+    pattern |= pattern.T  # no loops: a class is independent
+    edges = [(a, b) for a, b in combinations(range(len(cls)), 2) if pattern[cls[a], cls[b]]]
+    return from_edges(len(cls), edges)
 
 
 def test_colorable_basics():
@@ -126,8 +140,8 @@ def test_one_twin_contraction_leaves_no_twins():
         assert all(len({g.rows[v] for v in grp}) == 1 for grp in members)
         assert h == g.induced([grp[0] for grp in members])
         # the kernel's input: the contraction in first-member order, relabelled by degree
-        heads = sorted(grp[0] for grp in members)
-        assert list(h.rows) == _by_degree(g.induced(heads).rows)[1]
+        heads = g.induced(sorted(grp[0] for grp in members))
+        assert h == heads.induced(by_degree(heads.rows))
 
 
 def test_chromatic_number_knowns():
@@ -170,11 +184,20 @@ def test_book_containment_basics():
 
 
 def test_book_witness_structure():
+    # every witness is a book, and it is the one the kernel names on g itself,
+    # also on blow-ups, where the search first runs on classes cut to k members
     rng = np.random.default_rng(8)
-    for _ in range(60):
-        g = random_graph(int(rng.integers(3, 9)), float(rng.uniform(0.3, 0.95)), rng)
-        for r, k in [(2, 1), (2, 2), (3, 1), (3, 2)]:
+    graphs = [random_graph(int(rng.integers(3, 9)), float(rng.uniform(0.3, 0.95)), rng)
+              for _ in range(60)]
+    graphs += [random_blow_up(rng) for _ in range(150)]
+    for g in graphs:
+        for r, k in product((2, 3, 4), (1, 2, 3, 4)):
             has, witness = contains_generalized_book(g, r, k)
+            found = _find_clique(g.rows, degeneracy_order(g), r, k)
+            if found is None:
+                assert (has, witness) == (False, None), (g.rows, r, k)
+            else:
+                assert witness == found[0] + tuple(islice(bits(found[1]), k)), (g.rows, r, k)
             if has:
                 clique, pages = witness[:r], witness[r:]
                 assert len(pages) == k
@@ -214,8 +237,10 @@ def test_book_monotone_in_k():
 
 def test_clique_matches_networkx():
     rng = np.random.default_rng(41)
-    for _ in range(200):
-        g = random_graph(int(rng.integers(0, 41)), float(rng.uniform(0.05, 0.9)), rng)
+    graphs = [random_graph(int(rng.integers(0, 41)), float(rng.uniform(0.05, 0.9)), rng)
+              for _ in range(200)]
+    graphs += [random_blow_up(rng) for _ in range(150)]
+    for g in graphs:
         nxg = nx.empty_graph(g.n)
         nxg.add_edges_from(g.edges())
         omega = max((len(c) for c in nx.find_cliques(nxg)), default=0)
@@ -356,9 +381,13 @@ def brute_colorable(rows, r: int, vertices) -> bool:
     return rec(0)
 
 
+def brute_chromatic(g: Graph) -> int:
+    return next(r for r in range(g.n + 1) if brute_colorable(g.rows, r, range(g.n)))
+
+
 def brute_first_critical_edge(g: Graph) -> Optional[tuple[int, int]]:
     """The first edge e in ``edges()`` order with chi(G - e) = chi(G) - 1."""
-    chi = next(r for r in range(g.n + 1) if brute_colorable(g.rows, r, range(g.n)))
+    chi = brute_chromatic(g)
     for e in g.edges():
         if brute_colorable(g.remove_edge(*e).rows, chi - 1, range(g.n)):
             return e
@@ -380,11 +409,16 @@ def seeded_graphs(draw, max_n: int = 14) -> Graph:
     return random_graph(n, p, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
 
+def by_degree(rows) -> list[int]:
+    """The vertices of ``rows`` by (-degree, index)."""
+    return sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
+
+
 def dsatur(rows, r: int) -> tuple[Optional[list[int]], int]:
     """The kernel on ``rows`` relabelled by degree, its colours and core in
     ``rows``' labels."""
-    order, adj = _by_degree(rows)
-    colours, core = _colour(adj, r)
+    order = by_degree(rows)
+    colours, core = _colour(Graph(len(rows), tuple(rows)).induced(order).rows, r)
     if colours is None:
         return None, sum(1 << order[i] for i in bits(core))
     return [c for _, c in sorted(zip(order, colours))], 0
@@ -443,20 +477,23 @@ def twinned_graphs(draw) -> Graph:
 
 
 @settings(max_examples=300, deadline=None)
-@given(twinned_graphs())
+@given(st.one_of(twinned_graphs(), st.integers(0, 2**32 - 1).map(
+    lambda seed: random_blow_up(np.random.default_rng(seed), max_n=10))))
 def test_color_critical_matches_brute_force_with_twins_and_components(g):
+    # blow-ups too: only edges between twinless vertices can be critical
     assume(g.edge_count > 0)
+    assert chromatic_number(g) == brute_chromatic(g)
     e = brute_first_critical_edge(g)
     assert is_color_critical(g) == (e is not None, e)
 
 
 def _kernel_spy(monkeypatch, g: Graph, removed: list):
-    """Spy on the colouring kernel: each call's rows are g relabelled by
-    (-degree, index), so map them back and record g's edges they lack."""
+    """Spy on the colouring kernel: each call's rows are g's view, class t
+    renamed t, so map g's edges through the classes and record those the
+    rows lack."""
     import spexlab.structure as structure_mod
 
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    pos = {v: t for t, v in enumerate(order)}
+    pos = {v: t for t, grp in enumerate(_contract_twins(g)[1]) for v in grp}
     real = structure_mod._colour
 
     def spy(adj, r):
@@ -479,7 +516,7 @@ def test_color_critical_tries_only_edges_inside_the_core(monkeypatch):
 
 def test_color_criticality_relabels_each_graph_once(monkeypatch):
     # chi is known first (chromatic_number relabels the twin-contracted graph);
-    # then every try toggles one edge in a single relabelled copy of g
+    # then every try toggles one edge in a copy of that view, relabelling nothing
     import spexlab.structure as structure_mod
 
     real = structure_mod._reordered
@@ -498,10 +535,44 @@ def test_color_criticality_relabels_each_graph_once(monkeypatch):
         with monkeypatch.context() as m:
             _kernel_spy(m, g, removed)
             is_color_critical(g)
-        assert relabels in ([], [g.n])
+        assert relabels == []
         tries += len(removed)
         graphs += 1
     assert tries > 2 * graphs
+
+
+def test_predicates_on_the_papers_graphs_read_their_twin_view(monkeypatch):
+    # each graph has at most 6 twin classes: no kernel call may see more rows
+    # than 6 classes of at most k members (6 for the colourings)
+    import spexlab.structure as structure_mod
+
+    real_find, real_colour = structure_mod._find_clique, structure_mod._colour
+    seen = []
+
+    def find(rows, order, r, k):
+        assert len(rows) <= 6 * max(k, 1), (len(rows), r, k)
+        seen.append(len(rows))
+        return real_find(rows, order, r, k)
+
+    def colour(adj, r):
+        assert len(adj) <= 6, len(adj)
+        seen.append(len(adj))
+        return real_colour(adj, r)
+
+    monkeypatch.setattr(structure_mod, "_find_clique", find)
+    monkeypatch.setattr(structure_mod, "_colour", colour)
+    structure_mod._chromatic_number.cache_clear()
+    y, t3, t4 = y_graph(3, 1500), turan(3, 1500), turan(4, 1200)
+    for g, books in [(y, [(3, 1), (3, 2)]), (t3, [(3, 1), (3, 2)]), (t4, [(4, 1)])]:
+        for r, k in books:
+            assert contains_generalized_book(g, r, k) == (False, None)
+            assert not contains_clique(g, r + 1)
+    assert is_r_colorable(t3, 3) == (True, tuple(v // 500 for v in range(1500)))
+    assert not is_r_colorable(y, 3)[0] and not is_r_colorable(t4, 3)[0]
+    assert [chromatic_number(g) for g in (y, t3, t4)] == [4, 3, 4]
+    assert is_color_critical(y) == (True, (0, 500))
+    assert is_color_critical(t3) == is_color_critical(t4) == (False, None)
+    assert len(seen) > 10  # one clique search per book and clique question, then colourings
 
 
 def test_deep_inputs_need_no_recursion():
