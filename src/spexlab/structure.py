@@ -5,7 +5,8 @@ Everything here is exact (backtracking or exhaustive search). The colouring
 search keeps its own stack, so its depth is not bounded by recursion: paths
 and cycles of thousands of vertices colour in well under a second, while its
 worst case stays exponential (dense graphs of a few dozen vertices). Every
-public predicate reads ``_contract_twins``: twins merged once, in degree order.
+public predicate reads only g's bitset rows and its view ``_contract_twins``
+(twins merged once, in degree order): no derived graph, no edge walk.
 The clique/book search keeps its own stack too, so r is not bounded by
 recursion; its bitset rows are meant for a few thousand vertices. The public
 predicates add a root order, witnesses and their checks for users; callers
@@ -190,8 +191,9 @@ def contains_generalized_book(
     That is exactly subgraph containment of the generalized book (K_r joined
     to k independent vertices): any k common neighbours of an r-clique carry
     the required pages. The witness lists the clique then k pages, ascending.
-    Cutting each twin class to its first k members keeps a book: a clique
-    vertex's twins are not its pages, and a class of pages needs only k.
+    A blow-up is decided on cliques among its twin-class heads, for any k: a
+    clique meets a class at most once, and its heads share its common
+    neighbours (pages are counted over all of g). A "yes" is named on g.
     """
     if r < 2:
         raise ValueError("need r >= 2")
@@ -199,12 +201,12 @@ def contains_generalized_book(
         raise ValueError("need k >= 1")
     if g.n < r + k:
         return False, None
-    keep = sorted(v for grp in _contract_twins(g)[1] for v in grp[:k])
-    cut = [g.induced(keep)] if len(keep) < g.n else []
-    for graph in cut + [g]:  # decide on the cut, then name the witness on g
-        found = _find_clique(graph.rows, degeneracy_order(graph), r, k)
-        if found is None:
-            return False, None
+    heads = [grp[0] for grp in _contract_twins(g)[1]]
+    if len(heads) < g.n and _find_clique(g.rows, heads, r, k) is None:
+        return False, None
+    found = _find_clique(g.rows, degeneracy_order(g), r, k)
+    if found is None:
+        return False, None
     return True, found[0] + tuple(islice(bits(found[1]), k))
 
 
@@ -232,7 +234,8 @@ def is_r_colorable(g: Graph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exact r-colourability with a verified witness colouring on success.
 
     DSATUR-ordered backtracking with first-colour symmetry breaking on the
-    twin-contracted graph (merging twins never changes colourability).
+    twin-contracted graph (merging twins never changes colourability). Each
+    vertex's row must miss its colour class: one AND per vertex checks it.
     """
     if r < 1:
         raise ValueError("need r >= 1")
@@ -244,13 +247,13 @@ def is_r_colorable(g: Graph, r: int) -> tuple[bool, Optional[tuple[int, ...]]]:
     colors, _ = _colour(h.rows, r)
     if colors is None:
         return False, None
-    full = [0] * g.n
+    full, colour_class = [0] * g.n, [0] * r
     for c, grp in zip(colors, members):
+        colour_class[c] |= mask_of(grp)
         for v in grp:
             full[v] = c
-    for i, j in g.edges():
-        if full[i] == full[j]:
-            raise AssertionError("internal error: witness colouring is improper")
+    if any(row & colour_class[c] for row, c in zip(g.rows, full)):
+        raise AssertionError("internal error: witness colouring is improper")
     return True, tuple(full)
 
 
@@ -376,7 +379,7 @@ def is_color_critical(g: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
 # cross-edge-maximising partitions
 # ---------------------------------------------------------------------
 
-_EXACT_GUARDS = {2: 16, 3: 12}
+_EXACT_GUARDS = {2: 16}
 
 
 def _exact_guard(r: int, n: int):
@@ -416,8 +419,9 @@ def max_cross_partition(
     cells = [[] for _ in range(r)]
     for v, c in enumerate(assign):
         cells[c].append(v)
-    internal = sum(1 for i, j in g.edges() if assign[i] == assign[j])
     part = Partition(tuple(tuple(c) for c in cells))
+    masks = part.masks()  # each internal edge meets its cell from both ends
+    internal = sum((row & masks[c]).bit_count() for row, c in zip(g.rows, assign)) // 2
     return part, m - internal, exact
 
 
@@ -538,14 +542,9 @@ def degree_classes(g: Graph, partition: Partition, eps) -> DegreeClasses:
 # ---------------------------------------------------------------------
 
 
-def strip_isolated(g: Graph) -> Graph:
-    keep = [v for v in range(g.n) if g.rows[v]]
-    return g.induced(keep)
-
-
 def is_complete_bipartite(g: Graph, ignore_isolated: bool = True) -> bool:
     """Is g a complete bipartite graph (optionally up to isolated vertices)?
-    Edgeless counts. Otherwise it must have exactly two open-twin classes: two
-    adjacent twins would each lie in the other's neighbourhood, a loop."""
-    h = strip_isolated(g) if ignore_isolated else g
-    return h.edge_count == 0 or len(_twin_classes(h.rows, range(h.n))) == 2
+    Edgeless counts. Otherwise exactly two distinct rows remain once zero rows
+    are dropped (under ``ignore_isolated``); equal rows are never adjacent."""
+    rows = set(g.rows) - ({0} if ignore_isolated else set())
+    return g.edge_count == 0 or len(rows) == 2

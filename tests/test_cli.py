@@ -517,6 +517,10 @@ def test_usage_errors(capsys):
         assert "order must be nonnegative" in err
     code, out, err = run(capsys, "search", "spex", "--n", "5", "--non-r-partite", "0")
     assert code == 2 and out == "" and "require_non_r_partite needs r >= 1" in err
+    code, out, err = run(capsys, "construct", "--family", "multipartite", "--parts", "1,x")
+    assert code == 2 and out == "" and "argument --parts: expected comma-separated integers" in err
+    code, out, err = run(capsys, "verify", "wilf", "--r", "3", "--n-max", "3")
+    assert code == 2 and out == "" and err == "error: need r >= 1 and n-max > r\n"
     # a sweep over no order is refused, not reported as an empty pass
     for kind, max_n in [("nosal_book", "0"), ("sqrt_2m_bound", "-1"), ("liu_miao_U", "2")]:
         code, out, err = run(capsys, "scan", "--kind", kind, "--max-n", max_n)
@@ -537,6 +541,7 @@ def test_scan_sqrt_2m_small_r_is_a_usage_error(capsys, r):
     (["check", "--book", "3,x"], "argument --book: expected R,K, got '3,x'"),
     (["check", "--rpartite", "0"], "argument --rpartite: must be >= 1, got 0"),
     (["spectrum", "--tol", "-1"], "argument --tol: tol must be positive and finite, got -1.0"),
+    (["spectrum", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
 ])
 def test_flag_values_are_refused_on_empty_input(capsys, argv, message):
     # checked at parse time: an empty input used to pass with exit 0

@@ -354,6 +354,11 @@ def test_public_constructor_rejects_bad_shape():
         Graph(-1, ())
     with pytest.raises(ValueError, match="exactly n rows"):
         Graph(3, (0, 0))
+    for build in (empty_graph, complete_graph, lambda n: from_edges(n, [])):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            build(-1)
+    with pytest.raises(ValueError, match="cycle needs at least 3 vertices"):
+        cycle_graph(2)
 
 
 # ---------------------------------------------------------------------

@@ -83,6 +83,8 @@ def test_char_poly_small():
     assert char_poly(IntMatrix.of([[0, 1], [1, 0]])).coeffs == (-1, 0, 1)
     assert char_poly(IntMatrix.of([[0, 3], [2, 0]])).coeffs == (-6, 0, 1)
     assert char_poly(IntMatrix.of([[0, 1, 1], [1, 0, 1], [1, 1, 0]])).coeffs == (-2, -3, 0, 1)
+    with pytest.raises(ValueError, match="matrix must be square"):
+        IntMatrix.of([[0, 1], [1]])
 
 
 def test_char_poly_matches_determinant_evaluations():
@@ -118,6 +120,8 @@ def test_int_poly_arithmetic():
     assert p.sign_at(Fraction(2)) == -1
     assert p.derivative().coeffs == (0, 2)
     assert p.to_json_dict() == {"coeffs": ["-6", "0", "1"]}
+    with pytest.raises(ValueError, match="coefficient list must be non-empty"):
+        IntPoly(())
     assert IntPoly.of([1, 2, 0, 0]).coeffs == (1, 2)
 
 

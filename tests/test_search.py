@@ -748,6 +748,8 @@ def test_predicate_spec_validation():
         PredicateSpec()
     with pytest.raises(ValueError):
         PredicateSpec(forbid_book=(1, 1))
+    with pytest.raises(ValueError, match="forbid_clique needs a clique order >= 2"):
+        PredicateSpec(forbid_clique=1)
     with pytest.raises(ValueError, match="require_non_r_partite"):
         PredicateSpec(forbid_clique=3, require_non_r_partite=0)
     p = PredicateSpec(forbid_book=(3, 1))
@@ -876,6 +878,8 @@ def test_lemma27_scan_small():
     assert rep.argmax_is_y and rep.unique
     with pytest.raises(ValueError):
         lemma27_scan(3, 5)
+    with pytest.raises(ValueError, match="need r >= 2"):
+        lemma27_scan(1, 5)
 
 
 def recursive_partitions(total, parts, max_part=None):

@@ -171,6 +171,8 @@ def test_wilf_bound():
     assert rep.holds
     rep = check_wilf(make_multipartite([2, 3]), 2)
     assert rep.holds
+    with pytest.raises(ValueError, match="need r >= 1"):
+        check_wilf(turan(3, 9), 0)
 
 
 def test_deletion_bound_equality_cases():

@@ -84,6 +84,8 @@ def test_colorable_basics():
     assert ok and max(colors) <= 2
     assert is_r_colorable(empty_graph(4), 1)[0]
     assert not is_r_colorable(complete_graph(3), 2)[0]
+    with pytest.raises(ValueError, match="need r >= 1"):
+        is_r_colorable(cycle_graph(5), 0)
 
 
 def test_witness_is_always_proper():
@@ -181,17 +183,22 @@ def test_book_containment_basics():
     # triangle detection is the (2, 1) case
     assert contains_generalized_book(cycle_graph(3), 2, 1)[0]
     assert not contains_generalized_book(cycle_graph(4), 2, 1)[0]
+    with pytest.raises(ValueError, match="need r >= 2"):
+        contains_generalized_book(complete_graph(5), 1, 1)
+    with pytest.raises(ValueError, match="need k >= 1"):
+        contains_generalized_book(complete_graph(5), 2, 0)
 
 
 def test_book_witness_structure():
     # every witness is a book, and it is the one the kernel names on g itself,
-    # also on blow-ups, where the search first runs on classes cut to k members
+    # also on blow-ups, which are first decided on their twin-class heads; k
+    # runs past every class size (1-5) of random_blow_up
     rng = np.random.default_rng(8)
     graphs = [random_graph(int(rng.integers(3, 9)), float(rng.uniform(0.3, 0.95)), rng)
               for _ in range(60)]
     graphs += [random_blow_up(rng) for _ in range(150)]
     for g in graphs:
-        for r, k in product((2, 3, 4), (1, 2, 3, 4)):
+        for r, k in product((2, 3, 4), range(1, 7)):
             has, witness = contains_generalized_book(g, r, k)
             found = _find_clique(g.rows, degeneracy_order(g), r, k)
             if found is None:
@@ -542,16 +549,18 @@ def test_color_criticality_relabels_each_graph_once(monkeypatch):
 
 
 def test_predicates_on_the_papers_graphs_read_their_twin_view(monkeypatch):
-    # each graph has at most 6 twin classes: no kernel call may see more rows
-    # than 6 classes of at most k members (6 for the colourings)
+    # each graph has at most 6 twin classes: no clique search may take more than
+    # 6 roots and no colouring more than 6 rows, for any k; and no predicate may
+    # build a derived graph or walk the edge list
     import spexlab.structure as structure_mod
 
     real_find, real_colour = structure_mod._find_clique, structure_mod._colour
-    seen = []
+    real_induced, real_edges = Graph.induced, Graph.edges
+    seen, derived = [], []
 
     def find(rows, order, r, k):
-        assert len(rows) <= 6 * max(k, 1), (len(rows), r, k)
-        seen.append(len(rows))
+        assert len(order) <= 6, (len(order), r, k)
+        seen.append(len(order))
         return real_find(rows, order, r, k)
 
     def colour(adj, r):
@@ -559,11 +568,22 @@ def test_predicates_on_the_papers_graphs_read_their_twin_view(monkeypatch):
         seen.append(len(adj))
         return real_colour(adj, r)
 
+    def induced(g, vertices):
+        derived.append("induced")
+        return real_induced(g, vertices)
+
+    def edges(g):
+        derived.append("edges")
+        return real_edges(g)
+
+    y, t3, t4 = y_graph(3, 1500), turan(3, 1500), turan(4, 1200)
     monkeypatch.setattr(structure_mod, "_find_clique", find)
     monkeypatch.setattr(structure_mod, "_colour", colour)
+    monkeypatch.setattr(Graph, "induced", induced)
+    monkeypatch.setattr(Graph, "edges", edges)
     structure_mod._chromatic_number.cache_clear()
-    y, t3, t4 = y_graph(3, 1500), turan(3, 1500), turan(4, 1200)
-    for g, books in [(y, [(3, 1), (3, 2)]), (t3, [(3, 1), (3, 2)]), (t4, [(4, 1)])]:
+    for g, books in [(y, [(3, 1), (3, 2), (3, 300)]), (t3, [(3, 1), (3, 2)]),
+                     (t4, [(4, 1), (4, 200)])]:
         for r, k in books:
             assert contains_generalized_book(g, r, k) == (False, None)
             assert not contains_clique(g, r + 1)
@@ -573,6 +593,23 @@ def test_predicates_on_the_papers_graphs_read_their_twin_view(monkeypatch):
     assert is_color_critical(y) == (True, (0, 500))
     assert is_color_critical(t3) == is_color_critical(t4) == (False, None)
     assert len(seen) > 10  # one clique search per book and clique question, then colourings
+    assert derived == []
+
+
+def test_an_improper_witness_colouring_is_refused(monkeypatch):
+    # the witness is checked on g itself, each vertex's row against its colour
+    # class, so a kernel colouring that is improper on g never reaches the caller
+    import spexlab.structure as structure_mod
+
+    def kernel_returns(colours):
+        monkeypatch.setattr(structure_mod, "_colour", lambda adj, r: (list(colours), 0))
+
+    kernel_returns([2, 0, 1])  # T_3(6) contracts to a triangle, one head per part
+    assert is_r_colorable(turan(3, 6), 3) == (True, (2, 2, 0, 0, 1, 1))
+    for g, colours in [(cycle_graph(5), [0, 1, 0, 1, 1]), (turan(3, 6), [0, 1, 1])]:
+        kernel_returns(colours)
+        with pytest.raises(AssertionError, match="^internal error: witness colouring is improper$"):
+            is_r_colorable(g, 3)
 
 
 def test_deep_inputs_need_no_recursion():
@@ -594,6 +631,16 @@ def test_max_cross_partition_exact():
         max_cross_partition(empty_graph(17), 2)
     with pytest.raises(FeasibilityError):
         max_cross_partition(empty_graph(13), 3)
+    # the guard is the largest n with r^n <= 3^12: 12 at r = 3, 9 at r = 4, 8 at r = 5
+    for r, limit in [(3, 12), (4, 9), (5, 8)]:
+        assert max_cross_partition(empty_graph(limit), r)[1:] == (0, True)
+        with pytest.raises(FeasibilityError, match=f"guard: r={r} allows n <= {limit}, "
+                                                    f"got n={limit + 1}$"):
+            max_cross_partition(empty_graph(limit + 1), r)
+    with pytest.raises(ValueError, match="need r >= 2"):
+        max_cross_partition(cycle_graph(5), 1)
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'local'"):
+        max_cross_partition(cycle_graph(5), 2, mode="x")
 
 
 def test_max_cross_partition_accounting_and_local():
