@@ -145,7 +145,18 @@ class Graph:
         return comps
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        """Whether one search from vertex 0 reaches every vertex; ``components``
+        without building them."""
+        if self.n <= 1:
+            return True
+        reached = frontier = 1
+        while frontier:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= self.rows[v]
+            frontier = nxt & ~reached
+            reached |= nxt
+        return reached == (1 << self.n) - 1
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -12,15 +12,22 @@ on them, and their graph6 string is the printed name, so a printed value is the
 value of the printed graph. Unlike a lex-min string, the name depends on this
 refinement and its cell order, as nauty's labels depend on nauty.
 
+The certificate search skips a sibling that an automorphism known to fix its
+node maps to one already tried (McKay, "Practical graph isomorphism", Congr.
+Numer. 30, 1981). Two leaves with equal relabelled rows give such an
+automorphism, and with the twin swaps the ones found generate the whole group.
+
 The enumeration adds one edge at a time and certifies a child only when the
 added edge maximises an isomorphism-invariant edge key (degree sum, smaller
 degree, common neighbours) among the child's edges. Every class still arises
-this way, from the deletion of one of its maximising edges. A parent tries one
-non-edge per orbit of its twin swaps, and both checks on a child read only the
-new edge's ends; at order 8 about 1.5 children per class are certified
-instead of 12. Each class is a parent once, so the searches and scans judge a
-class (feasibility, spectral radius) where it is expanded: in-process, or, for
-a large level, in a pool of forked workers, one per usable CPU.
+this way, from the deletion of one of its maximising edges. A class keeps the
+automorphisms that its certificates found, and as a parent it tries one
+non-edge per orbit of the group they and its twin swaps generate; both checks
+on a child read only the new edge's ends. At order 8 about 1.24 children per
+class are certified instead of 12. Each class is a parent once, so the searches
+and scans judge a class (feasibility, spectral radius) where it is expanded, a
+chunk of classes at a time: in-process, or, for a large level, in a pool of
+forked workers, one per usable CPU.
 
 The construction-family scan needs neither labelling: it works from part sizes
 alone, taking each radius from a weighted (r+3)-cell graph, and builds no graph.
@@ -41,11 +48,12 @@ import numpy as np
 
 from .graphs import Graph, _reordered, bits, graph6_encode, u_graph
 from .graphs import _family_pattern, _y_graph_cells
-from .spectral import TIE_TOL, _rho, rotate_edges, spectral_radius
+from .spectral import TIE_TOL, _rho, _rhos, rotate_edges, spectral_radius
 from .structure import (
     FeasibilityError,
     _colour,
     _find_clique,
+    _refine,
     chromatic_number,
     color_refine,
     is_complete_bipartite,
@@ -81,39 +89,104 @@ def canonical_certificate(g: Graph) -> tuple[int, ...]:
     Search tree of ordered partitions. The root is the colour refinement of
     the unit partition (its first round is the degree partition). A node
     branches on the vertices of its first non-singleton cell, individualising
-    each and refining again; a vertex that is a twin of one already tried is
-    skipped, because swapping the two is an automorphism fixing the node. A
-    cell that is one twin class is split into singletons directly: branching
-    and refinement would change nothing there. Every leaf is a vertex
-    ordering, and the certificate is the smallest row tuple of g relabelled by
-    a leaf ordering.
+    each and refining again; a vertex is skipped when an automorphism known
+    to fix the node's individualised vertices maps it to one already tried:
+    a twin swap, or one found from two leaves. A cell that is one twin class
+    is split into singletons directly: branching and refinement would change
+    nothing there. Every leaf is a vertex ordering, and the certificate is the
+    smallest row tuple of g relabelled by a leaf ordering.
     """
-    n = g.n
-    rows = g.rows
+    return _certificate(g.rows)[0]
+
+
+def _certificate(rows: Sequence[int]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """``canonical_certificate`` of rows, with the automorphisms its search
+    found, relabelled to act on the certificate rows: two leaves whose
+    relabelled rows are equal give one. With the twin swaps of the
+    certificate rows they generate its automorphism group, because each child
+    of a node on the first path is either searched, and then holds a leaf equal
+    to the first leaf if an automorphism fixing the node maps the first path's
+    child to it, or skipped by a found automorphism (McKay, "Practical graph
+    isomorphism", Congr. Numer. 30, 1981)."""
+    n = len(rows)
+    leaves: dict[tuple[int, ...], list[int]] = {}  # relabelled rows: their first leaf
+    found: list[list[int]] = []  # automorphisms of rows, as vertex images
     best: Optional[tuple[int, ...]] = None
-    stack = [color_refine(rows, [(1 << n) - 1] if n else [])]
+    stack = [iter([(color_refine(rows, [(1 << n) - 1] if n else []), ())])]
     while stack:
-        cells = stack.pop()
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        cells, prefix = node
         for idx, c in enumerate(cells):
             if c & (c - 1):
                 break
         else:
-            cert = _reordered(rows, [cell.bit_length() - 1 for cell in cells])
-            if best is None or cert < best:
-                best = cert
+            order = [cell.bit_length() - 1 for cell in cells]
+            cert = _reordered(rows, order)
+            first = leaves.setdefault(cert, order)
+            if first is not order:
+                image = list(range(n))
+                for u, v in zip(first, order):
+                    image[u] = v
+                found.append(image)
+            elif best is None or cert < best:
+                best, best_order = cert, order
             continue
-        vertices = list(bits(c))  # those that are no twin of an earlier one branch
-        members = [v for v, h in zip(vertices, _twin_heads(rows, vertices)) if v == h]
-        if len(members) == 1:  # one twin class: a vertex has open or closed twins, never both
-            stack.append(cells[:idx] + [1 << v for v in vertices] + cells[idx + 1:])
+        vertices = list(bits(c))
+        heads = _twin_heads(rows, vertices)
+        if heads.count(vertices[0]) == len(vertices):  # one twin class (a vertex
+            # has open or closed twins, never both)
+            stack.append(iter([(cells[:idx] + [1 << v for v in vertices] + cells[idx + 1:], prefix)]))
+        else:
+            stack.append(_branches(rows, cells, idx, dict(zip(vertices, heads)), prefix, found))
+    position = [0] * n
+    for k, v in enumerate(best_order):
+        position[v] = k
+    return best, [tuple([position[image[v]] for v in best_order]) for image in found]
+
+
+def _branches(rows, cells, idx, heads, prefix, found):
+    """The children of a node, made one at a time, as (cells, individualised
+    vertices): one per vertex of the target cell ``cells[idx]`` that no known
+    automorphism fixing ``prefix`` maps to a vertex already tried. ``found``
+    grows while the children's subtrees are searched. Skipping is sound even
+    where a twin class was split directly: an automorphism fixing the prefix
+    maps the node to one that differs from it only by twin swaps."""
+    c = cells[idx]
+    tried: list[int] = []
+    known, orbit = 0, None
+    for v, h in heads.items():
+        if v != h:
             continue
-        for v in members:
-            # cells is equitable, so refinement's first round splits each cell
-            # by adjacency to v alone, non-neighbours first
-            child = cells[:idx] + [1 << v, c ^ (1 << v)] + cells[idx + 1:]
-            split = [h for d in child for h in (d & ~rows[v], d & rows[v]) if h]
-            stack.append(color_refine(rows, split))
-    return best
+        if found and tried:
+            if known < len(found):  # orbits of the twin swaps and the found automorphisms
+                known = len(found)
+                orbit = _orbits(len(rows), [g for g in found if all(g[p] == p for p in prefix)],
+                                heads.items())
+            if orbit[v] in {orbit[t] for t in tried}:
+                continue
+        tried.append(v)
+        # cells is equitable, so refinement's first round splits each cell by
+        # adjacency to v alone
+        child = cells[:idx] + [1 << v, c ^ (1 << v)] + cells[idx + 1:]
+        yield _refine(rows, child, [1 << v]), prefix + (v,)
+
+
+def _orbits(n: int, generators: Iterable[Sequence[int]], pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Each vertex's orbit, named by one of its vertices, under the group
+    generated by ``generators`` and the transpositions ``pairs``."""
+    parent = list(range(n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for u, v in chain(pairs, *(enumerate(g) for g in generators)):
+        parent[root(u)] = root(v)
+    return [root(v) for v in range(n)]
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -142,10 +215,14 @@ def _edge_key(rows: Sequence[int], deg: list[int], u: int, v: int) -> tuple[int,
     return (deg[u] + deg[v], min(deg[u], deg[v]), (rows[u] & rows[v]).bit_count())
 
 
-def _max_edge_children(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
+def _max_edge_children(rows: Sequence[int], generators: Sequence[Sequence[int]]
+                       ) -> Iterator[tuple[int, int]]:
     """The non-edges ij that maximise ``_edge_key`` in rows + ij, one per orbit
-    of the twin-swap group of rows. An orbit is keyed by the unordered pair of
-    twin heads, and its first non-edge decides it: the key is invariant.
+    of the group generated by ``generators`` (automorphisms of rows, as vertex
+    images) and the twin swaps of rows. A pair is named by the unordered pair
+    of its ends' twin heads, which every twin swap fixes and every
+    automorphism maps to another such name; an orbit's first non-edge decides
+    it, as the key is invariant.
 
     Adding ij raises no key: it adds one to the degrees of i and j and to the
     common neighbours of an edge iu exactly when u is adjacent to j. So a key
@@ -161,7 +238,9 @@ def _max_edge_children(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
     top = (0, 0, 0)
     for u, v in pairs:
         if (rows[u] >> v) & 1 and deg[u] + deg[v] >= top[0]:
-            top = max(top, _edge_key(rows, deg, u, v))
+            key = _edge_key(rows, deg, u, v)
+            if key > top:
+                top = key
     heads = _twin_heads(rows, range(n))
     of_degree = [0] * (n + 2)  # of_degree[d], at_least[d]: the vertices of degree d, >= d
     for v, d in enumerate(deg):
@@ -175,6 +254,14 @@ def _max_edge_children(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
         if orbit in tried:
             continue
         tried.add(orbit)
+        images = [(i, j)]
+        while images:  # name the rest of the orbit
+            a, b = images.pop()
+            for g in generators:
+                name = (1 << heads[g[a]]) | (1 << heads[g[b]])
+                if name not in tried:
+                    tried.add(name)
+                    images.append((g[a], g[b]))
         common = (rows[i] & rows[j]).bit_count()
         if (deg[i] + deg[j] + 2, min(deg[i], deg[j]) + 1, common) < top:
             continue
@@ -219,30 +306,43 @@ def _free_with_new_edge(prune_key, rows: Sequence[int], i: int, j: int) -> bool:
     )
 
 
-def _expand(job, task) -> tuple[int, set, Optional[list], int]:
+def _expand(job, task) -> tuple[int, dict, Optional[list], int]:
     """Expand one chunk of a census level. ``job`` is the census's (n,
-    prune_key, judge) and ``task`` is (index, parent rows). Returns the index,
-    the certified children, the judge's verdict on each parent (None without a
-    judge) and the number of certificates made.
+    prune_key, judge) and ``task`` is (index, parents), each parent as its
+    rows and the automorphisms known for them. Returns the index, the
+    certified children with the automorphisms their certificates found
+    (``_merge``), the judge's verdicts on the parents (None without a judge)
+    and the number of certificates made.
 
-    Each parent tries one non-edge per orbit of its twin-swap group: the
-    children of one orbit are isomorphic. Both checks on a child look only at
-    the new edge's ends and their neighbourhoods (``_max_edge_children``,
-    ``_free_with_new_edge``)."""
+    Each parent tries one non-edge per orbit of the group its automorphisms
+    and twin swaps generate: the children of one orbit are isomorphic. Both
+    checks on a child look only at the new edge's ends and their
+    neighbourhoods (``_max_edge_children``, ``_free_with_new_edge``)."""
     n, prune_key, judge = job
     index, parents = task
-    children = set()
+    children: dict[tuple[int, ...], tuple] = {}
     certified = 0
-    for rows in parents:
-        for i, j in _max_edge_children(rows):
+    for rows, generators in parents:
+        for i, j in _max_edge_children(rows, generators):
             if _free_with_new_edge(prune_key, rows, i, j):
                 child = list(rows)
                 child[i] |= 1 << j
                 child[j] |= 1 << i
-                children.add(canonical_certificate(Graph._unchecked(n, tuple(child))))
+                _merge(children, *_certificate(child))
                 certified += 1
-    verdicts = None if judge is None else [judge(Graph._unchecked(n, rows)) for rows in parents]
+    verdicts = None if judge is None else judge([Graph._unchecked(n, rows) for rows, _ in parents])
     return index, children, verdicts, certified
+
+
+def _merge(level: dict, rows: tuple[int, ...], generators: Sequence[tuple[int, ...]]) -> None:
+    """Add a class to a level with automorphisms of its rows. A class certified
+    more than once keeps the union of their automorphisms, so what a level
+    holds depends neither on the chunking nor on the order of the chunks."""
+    known = level.get(rows)
+    if not known:
+        level[rows] = tuple(generators)
+    elif generators:
+        level[rows] = tuple(set(known).union(generators))
 
 
 # A level of at least this many parents is expanded by a pool of forked workers,
@@ -298,7 +398,8 @@ def _pool_workers() -> int:
 
 class _Census:
     """The streamed, certificate-labelled order-n census pruned by ``prune_key``,
-    each class with ``judge``'s verdict on it (None without a judge); the one
+    each class with ``judge``'s verdict on it (None without a judge), which
+    takes a list of classes and returns one verdict for each; the one
     entry to the enumeration, which checks 0 <= n <= ENUMERATION_HARD_GUARD
     first. ``certified`` counts the certificates made so far, in whichever
     process made them.
@@ -328,7 +429,7 @@ class _Census:
     child P + s(e) = s(H) passes the filter because the key is
     isomorphism-invariant."""
 
-    def __init__(self, n: int, prune_key, judge: Optional[Callable[[Graph], object]] = None):
+    def __init__(self, n: int, prune_key, judge: Optional[Callable[[list[Graph]], list]] = None):
         if n < 0:
             raise ValueError("order must be nonnegative")
         if n > ENUMERATION_HARD_GUARD:
@@ -340,7 +441,7 @@ class _Census:
 
     def __iter__(self) -> Iterator[tuple[Graph, object]]:
         n = self.job[0]
-        level = {tuple([0] * n)}
+        level = {tuple([0] * n): ()}
         pool, workers = None, _pool_workers()
         try:
             while level:
@@ -355,11 +456,12 @@ class _Census:
                     results = pool.imap_unordered(_expand_installed, enumerate(chunks))
                 else:
                     results = map(partial(_expand, self.job), enumerate(chunks))
-                level = set()
+                level = {}
                 for index, children, verdicts, certified in results:
-                    level |= children
+                    for rows, generators in children.items():
+                        _merge(level, rows, generators)
                     self.certified += certified
-                    for rows, verdict in zip(chunks[index], verdicts or repeat(None)):
+                    for (rows, _), verdict in zip(chunks[index], verdicts or repeat(None)):
                         yield Graph._unchecked(n, rows), verdict
         except BaseException:  # an error, here or in a worker, or an early close
             if pool is not None:
@@ -371,10 +473,10 @@ class _Census:
                 pool.join()
 
 
-def _chunks(level: set, workers: int) -> list[list[tuple[int, ...]]]:
-    """``level`` in near-equal chunks, ``_CHUNKS_PER_WORKER`` per worker or more,
-    of at most ``_MAX_CHUNK`` parents."""
-    members = list(level)
+def _chunks(level: dict, workers: int) -> list[list[tuple[tuple[int, ...], tuple]]]:
+    """The (rows, automorphisms) of ``level`` in near-equal chunks,
+    ``_CHUNKS_PER_WORKER`` per worker or more, of at most ``_MAX_CHUNK`` parents."""
+    members = list(level.items())
     size = min(-(-len(members) // (_CHUNKS_PER_WORKER * workers)), _MAX_CHUNK)
     return [members[t : t + size] for t in range(0, len(members), size)]
 
@@ -507,22 +609,31 @@ class SearchReport:
         ]
 
 
+def _judge(keep: Callable[[Graph], bool], values: Callable[[list[Graph]], list]):
+    """A census judge: the ``values`` of the classes that ``keep`` admits, taken
+    together, and None for the others."""
+    def judge(graphs: list[Graph]) -> list:
+        kept = [keep(g) for g in graphs]
+        found = iter(values([g for g, k in zip(graphs, kept) if k]))
+        return [next(found) if k else None for k in kept]
+
+    return judge
+
+
 def _extremal_search(
     n: int,
     pred: PredicateSpec,
     objective: str,
-    value: Callable[[Graph], float],
+    values: Callable[[list[Graph]], list[float]],
     tie_tol: float,
 ) -> SearchReport:
-    """Maximise ``value`` over the feasible classes of order n in one pass over
+    """Maximise the value over the feasible classes of order n in one pass over
     the streamed, certificate-labelled census, holding a class only while it is
     within ``tie_tol`` of the running maximum: those left are the champions, named
-    by their graph6 string. The gap is to the best remaining class."""
-    def judge(g: Graph) -> Optional[float]:  # None: infeasible
-        return value(g) if pred._beyond_census(g) else None
-
+    by their graph6 string. The gap is to the best remaining class. ``values``
+    gives the values of a list of classes."""
     scanned, feasible, near, best, runner = 0, 0, [], -math.inf, -math.inf
-    for g, v in _Census(n, pred.prune_key(), judge):
+    for g, v in _Census(n, pred.prune_key(), _judge(pred._beyond_census, values)):
         scanned += 1
         if v is None:
             continue
@@ -552,12 +663,12 @@ def _extremal_search(
 def spex_search(n: int, pred: PredicateSpec) -> SearchReport:
     """Exhaustive spectral-radius maximisation over the feasible classes; ties
     within ``TIE_TOL`` are all reported rather than forced unique."""
-    return _extremal_search(n, pred, "rho", _rho, TIE_TOL)
+    return _extremal_search(n, pred, "rho", _rhos, TIE_TOL)
 
 
 def ex_search(n: int, pred: PredicateSpec) -> SearchReport:
     """Exhaustive edge-count maximisation; ties are exact."""
-    return _extremal_search(n, pred, "edges", lambda g: g.edge_count, 0)
+    return _extremal_search(n, pred, "edges", lambda graphs: [g.edge_count for g in graphs], 0)
 
 
 # ---------------------------------------------------------------------
@@ -839,7 +950,7 @@ def _bound_sweep(max_n: int, book: tuple[int, int],
     count, violations with their rho, and equality witnesses (|rho - bound| <= tol)."""
     key = PredicateSpec(forbid_book=book).prune_key()  # refuses r < 2 before 1 / r
     scanned, violations, witnesses = 0, {}, []
-    for g, rho in chain.from_iterable(_Census(n, key, _rho) for n in range(1, max_n + 1)):
+    for g, rho in chain.from_iterable(_Census(n, key, _rhos) for n in range(1, max_n + 1)):
         scanned += 1
         bound = _book_bound(book[0], g.edge_count)
         if rho > bound + tol:
@@ -865,9 +976,7 @@ def _scan_nosal(max_n: int, k: int, tol: float) -> ConjectureScanReport:
 def _scan_liu_miao(max_n: int, tol: float) -> ConjectureScanReport:
     key = PredicateSpec(forbid_book=(2, 2)).prune_key()
     by_m: dict[int, list[tuple[float, Graph]]] = {}
-    def judge(g: Graph) -> Optional[float]:  # None: bipartite
-        return None if _colorable(g, 2) else _rho(g)
-
+    judge = _judge(lambda g: not _colorable(g, 2), _rhos)  # None: bipartite
     for g, rho in chain.from_iterable(_Census(n, key, judge) for n in range(3, max_n + 1)):
         if rho is not None:
             by_m.setdefault(g.edge_count, []).append((rho, g))

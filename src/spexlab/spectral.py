@@ -207,6 +207,26 @@ def _rho(g: Graph) -> float:
     return _top_component(g, DEFAULT_TOL, DEFAULT_MAX_ITER, 0)[0] if g.n else 0.0
 
 
+def _rhos(graphs: Sequence[Graph]) -> list[float]:
+    """``_rho`` of each graph, bit for bit. The connected graphs of each order
+    from 2 to ``DENSE_MAX_N`` are solved together by one stacked ``eigh``,
+    which runs the same LAPACK solve on each matrix as ``_rho``'s ``eigh`` does;
+    the others go through ``_rho``. A disconnected graph stays there because
+    its whole matrix can give a different last ulp than its components do."""
+    rhos = [0.0] * len(graphs)
+    stacks: dict[int, list[int]] = {}  # order: the indices of its connected graphs
+    for t, g in enumerate(graphs):
+        if 1 < g.n <= DENSE_MAX_N and g.is_connected():
+            stacks.setdefault(g.n, []).append(t)
+        else:
+            rhos[t] = _rho(g)
+    for n, ts in stacks.items():
+        a = _bit_matrix([r for t in ts for r in graphs[t].rows], n).reshape(len(ts), n, n)
+        for t, rho in zip(ts, np.linalg.eigh(a.astype(float))[0][:, -1].tolist()):
+            rhos[t] = rho
+    return rhos
+
+
 def rayleigh_quotient(g: Graph, x: Sequence[float]) -> float:
     """(2 * sum_{uv in E} x_u x_v) / sum_v x_v^2; never exceeds rho(g)."""
     if len(x) != g.n:

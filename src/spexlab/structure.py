@@ -76,30 +76,59 @@ def color_refine(rows: Sequence[int], cells: Sequence[int]) -> list[int]:
     into the current cells; the sub-cells take the cell's place in ascending
     vector order. The output order depends only on the graph and the input
     order, never on vertex labels, which makes it usable for canonical
-    labelling as well as for quotients.
+    labelling as well as for quotients. After the first round, a round counts
+    only into the sub-cells that the round before made (``_refine``), with the
+    same splits in the same order.
     """
-    cells = list(cells)
-    while True:
-        out = []
+    return _refine(rows, list(cells), list(cells))
+
+
+def _refine(rows: Sequence[int], cells: list[int], signers: list[int]) -> list[int]:
+    """``color_refine`` of ``cells`` whose first round counts neighbours only in
+    ``signers``, some of the cells in cell order: the vertices of each cell
+    must agree on their counts into every other cell.
+
+    Every later round counts only into the sub-cells that the round before
+    made, less the last sub-cell of each split. The vertices of a cell agreed
+    on their counts into the cells before that round, so they still agree on
+    every other cell, and a dropped sub-cell's count is its parent cell's
+    count less those of its siblings: it ties whenever they tie, and comes
+    after them. Splits and their order are therefore those of counting into
+    every cell. A cell with no neighbour in the signers cannot split, and a
+    partition into singletons is final. A vertex's counts are packed into one
+    int, ``n.bit_length()`` bits each in cell order, which orders as the vector
+    does."""
+    n, width = len(rows), len(rows).bit_length()
+    while signers and len(cells) < n:
+        touched = 0
+        for x in signers:
+            while x:
+                low = x & -x
+                touched |= rows[low.bit_length() - 1]
+                x ^= low
+        out, new = [], []
         for c in cells:
-            if not c & (c - 1):
+            if not c & touched or not c & (c - 1):
                 out.append(c)
                 continue
-            sig: dict[tuple[int, ...], int] = {}
+            sig: dict[int, int] = {}
             m = c
             while m:
                 low = m & -m
                 r = rows[low.bit_length() - 1]
-                key = tuple([(r & x).bit_count() for x in cells])
+                key = 0
+                for x in signers:
+                    key = (key << width) | (r & x).bit_count()
                 sig[key] = sig.get(key, 0) | low
                 m ^= low
             if len(sig) == 1:
                 out.append(c)
             else:
-                out.extend([sig[k] for k in sorted(sig)])
-        if len(out) == len(cells):
-            return out
-        cells = out
+                parts = [sig[k] for k in sorted(sig)]
+                out += parts
+                new += parts[:-1]
+        cells, signers = out, new
+    return cells
 
 
 # ---------------------------------------------------------------------

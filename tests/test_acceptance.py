@@ -123,7 +123,7 @@ def shared_k4_free_order8(monkeypatch, k4_free_order8):
             judged = list(real(n, key, judge))
             k4_free_order8.extend(g for g, _ in judged)
             return iter(judged)
-        return ((g, judge(g)) for g in k4_free_order8)
+        return zip(k4_free_order8, judge(k4_free_order8))
 
     monkeypatch.setattr(search, "_Census", census)
 

@@ -467,14 +467,14 @@ def test_search_exception_in_a_census_worker_exits_as_in_process(capsys, monkeyp
 
     import spexlab.search as search_mod
 
-    real = search_mod._rho
+    real = search_mod._rhos
 
-    def rho(g):
-        if g.edge_count == 12:
+    def rhos(graphs):
+        if any(g.edge_count == 12 for g in graphs):
             raise exc
-        return real(g)
+        return real(graphs)
 
-    monkeypatch.setattr(search_mod, "_rho", rho)
+    monkeypatch.setattr(search_mod, "_rhos", rhos)
     monkeypatch.setattr(search_mod, "_pool_workers", lambda: 2)
     results = []
     for threshold in (1, math.inf):

@@ -231,39 +231,64 @@ def with_edge(rows, i, j):
     return tuple(child)
 
 
+def marked(g: nx.Graph, pair) -> nx.Graph:
+    h = g.copy()
+    nx.set_node_attributes(h, {v: v in pair for v in h}, "end")
+    return h
+
+
+def same_aut_orbit(g: nx.Graph, h: nx.Graph) -> bool:
+    """Whether an automorphism maps the pair marked in g onto the pair marked
+    in h, two marked copies of one graph: networkx's VF2 matcher."""
+    return nx.algorithms.isomorphism.GraphMatcher(
+        g, h, node_match=lambda a, b: a["end"] == b["end"]).is_isomorphic()
+
+
 @pytest.mark.parametrize("n, census_key", [(7, (None, None)), (8, (4, None))])
 def test_local_child_checks_match_whole_child_oracles(n, census_key):
     # every non-edge child of every class: the incremental edge-key test against
     # the whole-child scan, the local K_q / B(r,k) test against whole-child
-    # _free_of for every key the parent is free of, and the twin heads as
-    # automorphisms (swapping a vertex with its head fixes the rows)
+    # _free_of for every key the parent is free of; the twin swaps and the
+    # certificate's found automorphisms are automorphisms, and the parent tries
+    # exactly one maximising non-edge per orbit of its automorphism group,
+    # which networkx's matcher decides
     for parent in _census(n, census_key):
         rows = parent.rows
-        heads = search._twin_heads(rows, range(n))
-        for v, h in enumerate(heads):
+        edges = set(parent.edges())
+        generators = search._certificate(rows)[1]
+        swaps = []
+        for v, h in enumerate(search._twin_heads(rows, range(n))):
             swap = list(range(n))
             swap[v], swap[h] = h, v
-            assert parent.relabel(swap).rows == rows
+            swaps.append(swap)
+        for perm in generators + swaps:
+            assert {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
         keys = [key for key in LOCAL_CHECK_KEYS if search._free_of(key, parent)]
-        maximal = set()
+        maximal = []
         for i, j in combinations(range(n), 2):
             if (rows[i] >> j) & 1:
                 continue
             child = with_edge(rows, i, j)
             if is_max_edge(child, i, j):
-                maximal.add((1 << heads[i]) | (1 << heads[j]))
+                maximal.append((i, j))
             for key in keys:
                 assert search._free_with_new_edge(key, rows, i, j) == search._free_of(
                     key, Graph._unchecked(n, child)), (rows, i, j, key)
-        # one maximising non-edge per twin orbit, and none that does not maximise
-        tried = list(search._max_edge_children(rows))
-        assert all(is_max_edge(with_edge(rows, i, j), i, j) for i, j in tried)
-        assert sorted((1 << heads[i]) | (1 << heads[j]) for i, j in tried) == sorted(maximal)
+        tried = list(search._max_edge_children(rows, generators))
+        assert set(tried) <= set(maximal)
+        # pairs of one orbit have isomorphic children: only those need the matcher
+        g = to_nx(parent)
+        children = {e: canonical_certificate(Graph._unchecked(n, with_edge(rows, *e))) for e in maximal}
+        ends = {e: marked(g, e) for e in maximal}
+        for e in maximal:
+            assert sum(children[t] == children[e] and same_aut_orbit(ends[e], ends[t])
+                       for t in tried) == 1, (rows, e)
 
 
 def test_census_makes_no_whole_child_checks(monkeypatch):
     # the order-8 K4-free census decides each child from the new edge's ends;
-    # twin-orbit pruning keeps its certificates under 9,800 (11,149 before it)
+    # one child per automorphism orbit keeps its certificates at 8,000 (11,149
+    # before twin-orbit pruning, 9,759 with twin orbits alone)
     def refuse(*args):
         raise AssertionError("the census checks children locally")
 
@@ -273,7 +298,7 @@ def test_census_makes_no_whole_child_checks(monkeypatch):
     counted = search._Census(8, (4, None))
     census = tuple(g for g, _ in counted)
     assert len(census) == 6431
-    assert counted.certified <= 9_800
+    assert counted.certified <= 8_000
     rows = repr(sorted(g.rows for g in census)).encode()
     assert hashlib.sha256(rows).hexdigest() == (
         "d0d1022e8a18fcceac41c8157fec6b5c91ef81b328e42eed2f3ee3e7487489be")
@@ -377,7 +402,7 @@ def certificates_outside_the_census(monkeypatch):
     but a census or an ``are_isomorphic`` call, and the number each
     ``are_isomorphic`` call made, and starts counting again."""
     calls, censuses, iso = [], [], []
-    certify, real_iso = search.canonical_certificate, search.are_isomorphic
+    certify, real_iso = search._certificate, search.are_isomorphic
 
     class Census(search._Census):
         def __init__(self, *args):
@@ -391,7 +416,7 @@ def certificates_outside_the_census(monkeypatch):
         return answer
 
     force_census_mode(monkeypatch, False)
-    monkeypatch.setattr(search, "canonical_certificate", lambda g: calls.append(g) or certify(g))
+    monkeypatch.setattr(search, "_certificate", lambda g: calls.append(g) or certify(g))
     monkeypatch.setattr(search, "are_isomorphic", are_isomorphic)
     monkeypatch.setattr(search, "_Census", Census)
 
@@ -447,10 +472,10 @@ def test_searches_hold_only_their_near_maximum_classes(monkeypatch):
         assert counts["made"] == rep.graphs_scanned == 6431, run.__name__
         assert counts["peak"] <= most, (run.__name__, counts["peak"])
         assert counts["live"] == 0, run.__name__
-        # the edge-key filter and twin-orbit pruning certify about 1.5
-        # children per class at order 8; certifying every child that passes
-        # the predicate costs 12.1
-        assert counts["certified"] <= 1.6 * counts["made"], run.__name__
+        # the edge-key filter and automorphism-orbit pruning certify about
+        # 1.24 children per class at order 8; certifying every child that
+        # passes the predicate costs 12.1
+        assert counts["certified"] <= 1.25 * counts["made"], run.__name__
 
 
 def force_census_mode(monkeypatch, pooled):
@@ -468,8 +493,8 @@ def test_pooled_and_in_process_census_agree(monkeypatch, n, key, digest):
     # the same classes and certificate count both ways, and in-process the
     # count is the number of certificate calls; pooled, none is made here
     calls = []
-    certify = search.canonical_certificate
-    monkeypatch.setattr(search, "canonical_certificate", lambda g: calls.append(g) or certify(g))
+    certify = search._certificate
+    monkeypatch.setattr(search, "_certificate", lambda g: calls.append(g) or certify(g))
     seen = []
     for pooled in (True, False):
         force_census_mode(monkeypatch, pooled)
@@ -510,8 +535,8 @@ def test_bound_scans_print_the_rho_the_census_judged(monkeypatch, kind):
     # each class is solved once, by its judge; at r = 2, k = 3 a second solve of
     # each of the 1,423 order-8 sqrt_2m_bound violations made 6,966 solves
     calls = []
-    real = search._rho
-    monkeypatch.setattr(search, "_rho", lambda g: calls.append(g) or real(g))
+    real = search._rhos
+    monkeypatch.setattr(search, "_rhos", lambda graphs: calls.extend(graphs) or real(graphs))
     force_census_mode(monkeypatch, False)
     rep = conjecture_scan(kind, 8, r=2, k=3)
     assert rep.violations and len(calls) == rep.scanned
@@ -536,7 +561,8 @@ def test_census_pool_judges_in_workers_and_ends_with_the_census(monkeypatch):
     monkeypatch.setattr(search, "_pool_workers", lambda: 2)
     # levels 9 to 16 of the order-8 K4-free census have at least 256 classes
     # (340 to 1,061), and only those are expanded and judged by the pool
-    judged = {g.edge_count: pid for g, pid in search._Census(8, (4, None), lambda g: os.getpid())}
+    judged = {g.edge_count: pid for g, pid in
+              search._Census(8, (4, None), lambda graphs: [os.getpid()] * len(graphs))}
     assert {m for m, pid in judged.items() if pid != os.getpid()} == set(range(9, 17))
     assert multiprocessing.active_children() == []
     # closed after the first class of the first pooled level, other chunks in flight
@@ -566,7 +592,7 @@ def test_worker_exceptions_that_would_not_unpickle_are_renamed(monkeypatch):
     # thread; it arrives as a RuntimeError that names it
     from spexlab.spectral import ConvergenceError
 
-    def rho(g):
+    def rhos(graphs):
         raise ConvergenceError(0.5, 3)
 
     def run():
@@ -576,7 +602,7 @@ def test_worker_exceptions_that_would_not_unpickle_are_renamed(monkeypatch):
             raised.append(exc)
 
     force_census_mode(monkeypatch, True)
-    monkeypatch.setattr(search, "_rho", rho)
+    monkeypatch.setattr(search, "_rhos", rhos)
     raised = []
     searching = threading.Thread(target=run, daemon=True)
     searching.start()
@@ -624,8 +650,9 @@ def test_one_pass_search_matches_the_batch_definition(order6_census, data, tie_t
                              if v >= best - tie_tol))
     runner = max((v for v in values if v < best - tie_tol), default=None)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_Census", lambda n, key, judge: ((g, judge(g)) for g in census))
-        rep = search._extremal_search(6, pred, "rho", lambda g: table[g.rows], tie_tol)
+        mp.setattr(search, "_Census", lambda n, key, judge: zip(census, judge(census)))
+        rep = search._extremal_search(6, pred, "rho", lambda gs: [table[g.rows] for g in gs],
+                                      tie_tol)
     assert rep.champions == champions
     assert rep.gap_to_runner_up == (None if runner is None else best - runner)
     assert rep.ties_within_tol == (tuple(g6 for g6, _ in champions) if len(champions) > 1 else ())
@@ -661,7 +688,7 @@ def test_bound_scans_decide_near_ties_on_the_printed_form(monkeypatch):
     g = graph6_decode("GJemnO")
     assert canonical_graph6(graph6_decode("GBj^V_")) == "GJemnO" == graph6_encode(g)
     assert spectral_radius(g).rho == 4.0
-    monkeypatch.setattr(search, "_Census", lambda n, key, judge: [(g, judge(g))] if n == 8 else [])
+    monkeypatch.setattr(search, "_Census", lambda n, key, judge: zip([g], judge([g])) if n == 8 else [])
     rep = conjecture_scan("sqrt_2m_bound", 8, r=2, k=3, tol=0.0)
     assert rep.violations == ()
     rep = conjecture_scan("nosal_book", 8, k=3, tol=0.0)
@@ -1044,7 +1071,7 @@ def test_lemma27_scan_builds_no_graph(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the family scan must work from part sizes alone")
 
-    for name in ("spectral_radius", "are_isomorphic", "canonical_certificate"):
+    for name in ("spectral_radius", "are_isomorphic", "canonical_certificate", "_certificate"):
         monkeypatch.setattr(search, name, forbidden)
     monkeypatch.setattr(Graph, "_unchecked", classmethod(forbidden))
     monkeypatch.setattr(Graph, "__post_init__", forbidden)

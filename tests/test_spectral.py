@@ -404,6 +404,20 @@ def test_rho_alone_is_the_reported_radius_bit_for_bit():
     assert spectral_mod._rho(empty_graph(0)) == 0.0
 
 
+def test_stacked_rhos_are_rho_bit_for_bit():
+    # the census judges a chunk at once: its 5,606 connected order-8 K4-free
+    # classes by one stacked eigh, its 825 disconnected ones one at a time
+    # (solved whole, 57 of them would move an ulp); mixed orders and the
+    # order-0 graph too
+    census = list(_census(8, (4, None)))
+    assert sum(g.is_connected() for g in census) == 5606
+    assert spectral_mod._rhos(census) == [spectral_mod._rho(g) for g in census]
+    mixed = [empty_graph(0), empty_graph(1), path_graph(3), census[-1], path_graph(100),
+             cycle_graph(5), disjoint_union(cycle_graph(3), cycle_graph(4)), census[0]]
+    assert spectral_mod._rhos(mixed) == [spectral_mod._rho(g) for g in mixed]
+    assert spectral_mod._rhos([empty_graph(0)]) == [0.0] and spectral_mod._rhos([]) == []
+
+
 def test_twin_free_and_small_results_are_pinned():
     # sha256 of the reprs of these SpectralResults, taken before the twin
     # quotient path existed: twin-free graphs keep the dense matrix and solver

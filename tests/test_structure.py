@@ -36,7 +36,9 @@ from spexlab.structure import (
     _colour,
     _contract_twins,
     _find_clique,
+    _refine,
     chromatic_number,
+    color_refine,
     contains_clique,
     contains_generalized_book,
     degeneracy_order,
@@ -72,6 +74,74 @@ def random_blow_up(rng, max_n: int = 30) -> Graph:
     pattern |= pattern.T  # no loops: a class is independent
     edges = [(a, b) for a, b in combinations(range(len(cls)), 2) if pattern[cls[a], cls[b]]]
     return from_edges(len(cls), edges)
+
+
+def reference_refine(rows, cells):
+    """Colour refinement by its definition: each round splits every cell by its
+    vertices' vectors of neighbour counts into every current cell, sub-cells in
+    ascending vector order, until a round splits nothing."""
+    cells = list(cells)
+    while True:
+        out = []
+        for c in cells:
+            sig = {}
+            for v in bits(c):
+                key = tuple((rows[v] & x).bit_count() for x in cells)
+                sig[key] = sig.get(key, 0) | (1 << v)
+            out += [sig[k] for k in sorted(sig)]
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+@st.composite
+def graphs_with_partitions(draw, max_n: int = 40):
+    """A random graph of at most max_n vertices, sparse to dense (sparse ones
+    refine over many rounds), with a random ordered partition of its vertices."""
+    n = draw(st.integers(0, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_graph(n, draw(st.sampled_from([0.05, 0.1, 0.2, 0.5, 0.8])), rng)
+    labels = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    order = draw(st.permutations(range(5)))
+    cells = [sum(1 << v for v in range(n) if labels[v] == t) for t in order]
+    return g, [c for c in cells if c]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_partitions())
+def test_color_refine_matches_the_all_cells_reference(drawn):
+    # the incremental rounds (new sub-cells only, the last one of each split
+    # dropped) give the reference's partition in the reference's cell order
+    g, cells = drawn
+    assert color_refine(g.rows, cells) == reference_refine(g.rows, cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_partitions(), st.data())
+def test_individualisation_enters_refinement_as_its_first_round(drawn, data):
+    # the certificate individualises v in an equitable partition and signs the
+    # first round against {v} alone
+    g, cells = drawn
+    cells = color_refine(g.rows, cells)
+    targets = [t for t, c in enumerate(cells) if c & (c - 1)]
+    if not targets:
+        return
+    t = data.draw(st.sampled_from(targets))
+    v = data.draw(st.sampled_from(list(bits(cells[t]))))
+    child = cells[:t] + [1 << v, cells[t] ^ (1 << v)] + cells[t + 1:]
+    assert _refine(g.rows, list(child), [1 << v]) == reference_refine(g.rows, child)
+
+
+def test_refinement_of_long_cycles_and_paths():
+    # a cycle or a path refines over about n / 2 rounds after one vertex is
+    # individualised; the reference checks the cell order of those rounds
+    for g in (cycle_graph(41), path_graph(40), disjoint_union(cycle_graph(9), path_graph(9))):
+        cells = color_refine(g.rows, [(1 << g.n) - 1])
+        assert cells == reference_refine(g.rows, [(1 << g.n) - 1])
+        t = next(t for t, c in enumerate(cells) if c & (c - 1))
+        low = cells[t] & -cells[t]
+        child = cells[:t] + [low, cells[t] ^ low] + cells[t + 1:]
+        assert _refine(g.rows, list(child), [low]) == reference_refine(g.rows, child)
 
 
 def test_colorable_basics():
