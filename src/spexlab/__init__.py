@@ -56,7 +56,6 @@ from .search import (
     write_census,
 )
 from .spectral import (
-    ConvergenceError,
     SpectralResult,
     check_wilf,
     deletion_bound,

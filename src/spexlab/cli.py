@@ -7,10 +7,10 @@ between commands as graph6 lines, so invocations compose through pipes, e.g.
 
 Exit codes: 0 success, 1 a verification subcommand found a failure, 2 usage
 or input error (bad flags, missing file, malformed graph6 line), 3 internal
-failure (power iteration on a component above 64 vertices did not converge, a
-recursion ran too deep, an arithmetic fault or any other unexpected exception),
-reported as one line on stderr. A reader that closes stdout early (`| head`)
-ends the run quietly with 0: the rest of the output is dropped.
+failure (a recursion ran too deep, an arithmetic fault or any other
+unexpected exception), reported as one line on stderr. A reader that closes
+stdout early (`| head`) ends the run quietly with 0: the rest of the output is
+dropped.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .graphs import (
 from .quotient import verify_lemma32
 from .random_graphs import random_connected_graph, random_multipartite
 from .search import PredicateSpec, conjecture_scan, ex_search, lemma27_scan, spex_search
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, _rho, check_wilf, rotate_edges, spectral_radius
+from .spectral import DEFAULT_TOL, _rho, check_wilf, rotate_edges, spectral_radius
 from .structure import chromatic_number, contains_generalized_book, is_color_critical, is_r_colorable
 
 
@@ -99,11 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="spectral radius of each input graph")
     p.add_argument("--in", dest="infile", required=True, help="graph6 file or - for stdin")
     # eigh solves components of at most 64 vertices or at most 64 twin
-    # classes; these three flags drive the power iteration on the other ones
+    # classes; --tol stops the power iteration on the other ones
     p.add_argument("--tol", default=DEFAULT_TOL, type=_checked(
         float, lambda tol: 0 < tol < math.inf, "tol must be positive and finite, got {}"))
-    p.add_argument("--maxiter", type=_int_at_least(1), default=DEFAULT_MAX_ITER)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("check", help="structural predicates for each input graph")
     p.add_argument("--in", dest="infile", required=True)
@@ -213,7 +211,7 @@ def _each_graph(args, doc_of) -> int:
 
 
 def _spectrum_doc(args, g: Graph) -> dict:
-    res = spectral_radius(g, tol=args.tol, max_iter=args.maxiter, seed=args.seed)
+    res = spectral_radius(g, tol=args.tol)
     return {"order": g.n, "size": g.edge_count, **vars(res)}
 
 
@@ -371,7 +369,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (_InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # ConvergenceError, RecursionError, ArithmeticError, bugs
+    except Exception as exc:  # RecursionError, ArithmeticError, bugs
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

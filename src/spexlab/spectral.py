@@ -11,8 +11,11 @@ is constant on each class (Brouwer & Haemers, *Spectra of Graphs*, 2012, §2.3);
 other component uses its float adjacency matrix: ``eigh`` up to
 ``DENSE_MAX_N`` vertices, and above that power iteration on A + I. Adding the
 identity makes the top eigenvalue strictly dominant in magnitude even on
-bipartite graphs (whose spectra are symmetric about 0), so the iteration
-converges on every connected graph.
+bipartite graphs (whose spectra are symmetric about 0). The steps needed
+still grow as the inverse of the spectral gap (about 0.5 n^2 on the path P_n),
+so the iteration gets n steps, a little more than one ``eigh`` of the matrix
+costs, and ``eigh`` solves a component that has not converged by then. Every
+solve finishes, within about three ``eigh`` solves' time.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import numpy as np
 from .graphs import Graph, _bit_matrix, _twin_classes, mask_of
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 1_000_000
 # Solver threshold, measured on a 2-vCPU VM with numpy 2.4: eigh takes ~0.04 ms
 # at n = 8 and ~0.6 ms at n = 64. Power iteration pays ~10 us of Python overhead
 # per step, so the 20-40 steps of a well-mixed graph take ~0.4 ms at any n <= 64,
@@ -39,21 +41,13 @@ DENSE_MAX_N = 64
 TIE_TOL = 1e-12
 
 
-class ConvergenceError(RuntimeError):
-    """Power iteration ran out of budget; carries the last residual."""
-
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"power iteration did not converge in {iterations} iterations "
-            f"(last residual {residual:.3e})"
-        )
-        self.residual = residual
-        self.iterations = iterations
-
-
 @dataclass(frozen=True)
 class SpectralResult:
-    """Spectral radius estimate with its Perron vector (unit max-norm)."""
+    """Spectral radius estimate with its Perron vector (unit max-norm).
+
+    ``iterations`` counts the power-iteration steps spent: 0 when ``eigh``
+    alone solved the component, and n together with ``eigh``'s residual when
+    n steps did not reach the tolerance and ``eigh`` took over."""
 
     rho: float
     vector: tuple[float, ...]
@@ -75,45 +69,34 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def _eigh_dense(a: np.ndarray):
-    """(rho, finish) of a connected graph's matrix a by ``eigh``; finish() gives
-    the Perron vector (unit max-norm), the residual and 0 iterations."""
+def _solve_dense(a: np.ndarray, tol: float = DEFAULT_TOL):
+    """(rho, finish) of a connected graph's matrix a; finish() gives its Perron
+    vector (unit max-norm), the residual and the power-iteration steps spent.
+    Above ``DENSE_MAX_N`` vertices, at most n steps of power iteration on A + I
+    run first, from the start vector ``default_rng(0)`` gives; ``eigh`` solves
+    the rest, and a component it finishes reports n steps."""
+    n = len(a)
+    its = 0
+    if n > DENSE_MAX_N:
+        x = 1.0 + 1e-8 * np.random.default_rng(0).random(n)
+        x /= x.max()
+        for its in range(1, n + 1):
+            ax = a @ x
+            rho = float(x @ ax) / float(x @ x)
+            res = float(np.abs(ax - rho * x).max())
+            if res <= tol:
+                return rho, lambda: (x, res, its)
+            y = ax + x  # one step of A + I
+            x = y / y.max()
     w, v = np.linalg.eigh(a)
     rho = float(w[-1])
 
     def finish():
         x = np.abs(v[:, -1])  # the Perron vector of a connected graph, up to sign
         x /= x.max()
-        return x, float(np.abs(a @ x - rho * x).max()), 0
+        return x, float(np.abs(a @ x - rho * x).max()), its
 
     return rho, finish
-
-
-def _power_iterate_dense(a: np.ndarray, tol: float, max_iter: int, seed: int):
-    n = a.shape[0]
-    rng = np.random.default_rng(seed)
-    x = 1.0 + 1e-8 * rng.random(n)
-    x /= x.max()
-    rho = 0.0
-    res = math.inf
-    for it in range(1, max_iter + 1):
-        ax = a @ x
-        rho = float(x @ ax) / float(x @ x)
-        res = float(np.abs(ax - rho * x).max())
-        if res <= tol:
-            return rho, lambda: (x, res, it)
-        y = ax + x  # one step of A + I
-        x = y / y.max()
-    raise ConvergenceError(res, max_iter)
-
-
-def _solve_dense(
-    a: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER, seed: int = 0
-):
-    """(rho, finish) of a connected graph's matrix a; finish() gives (x, residual, iterations)."""
-    if len(a) <= DENSE_MAX_N:
-        return _eigh_dense(a)
-    return _power_iterate_dense(a, tol, max_iter, seed)
 
 
 def _solve_quotient(rows: Sequence[int], n: int, classes: Sequence[Sequence[int]]):
@@ -136,7 +119,7 @@ def _solve_quotient(rows: Sequence[int], n: int, classes: Sequence[Sequence[int]
     return rho, finish
 
 
-def _top_component(g: Graph, tol: float, max_iter: int, seed: int):
+def _top_component(g: Graph, tol: float):
     """(rho, vertices, finish, component count) for the component whose radius
     g reports: a later component wins only if its radius is larger by more than
     ``TIE_TOL``. finish() gives its vector on those vertices, the residual and
@@ -155,27 +138,23 @@ def _top_component(g: Graph, tol: float, max_iter: int, seed: int):
             if a is None:
                 a = adjacency_matrix(g)
             sub = a if len(comps) == 1 else a[np.ix_(comp, comp)]
-            rho, finish = _solve_dense(sub, tol, max_iter, seed)
+            rho, finish = _solve_dense(sub, tol)
             verts = comp
         if best is None or rho > best[0] + TIE_TOL:
             best = (rho, verts, finish)
     return (*best, len(comps))
 
 
-def spectral_radius(
-    g: Graph,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-) -> SpectralResult:
+def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Largest adjacency eigenvalue of g with its Perron vector.
 
     A component of more than ``DENSE_MAX_N`` vertices but at most
     ``DENSE_MAX_N`` twin classes is solved by ``eigh`` on its twin quotient,
     and one of at most ``DENSE_MAX_N`` vertices by ``eigh`` on its matrix
-    (``iterations`` is 0 for both); ``tol``, ``max_iter`` and ``seed`` drive
-    the power iteration on the other components, which stops once
-    |A x - rho x|_inf <= tol. ``residual`` is |A x - rho x|_inf either way. A
+    (``iterations`` is 0 for both). Power iteration solves the other
+    components, stopping once |A x - rho x|_inf <= tol; one of n vertices
+    that has not stopped after n steps is solved by ``eigh``.
+    ``residual`` is |A x - rho x|_inf either way. A
     later component wins only if its radius is larger by more than
     ``TIE_TOL``; the vector is 0 outside the winning component.
     """
@@ -183,11 +162,7 @@ def spectral_radius(
         raise ValueError("spectral radius needs at least one vertex")
     if not 0 < tol < math.inf:  # nan fails too
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    rho, verts, finish, count = _top_component(g, tol, max_iter, seed)
+    rho, verts, finish, count = _top_component(g, tol)
     vec, res, its = finish()
     full = np.zeros(g.n)
     full[list(verts)] = vec
@@ -204,7 +179,7 @@ def _rho(g: Graph) -> float:
     """``spectral_radius(g).rho`` from the same component split and solves, with
     no vector, residual or result; 0.0 for the order-0 graph, which
     ``spectral_radius`` rejects. The searches and scans read only this."""
-    return _top_component(g, DEFAULT_TOL, DEFAULT_MAX_ITER, 0)[0] if g.n else 0.0
+    return _top_component(g, DEFAULT_TOL)[0] if g.n else 0.0
 
 
 def _rhos(graphs: Sequence[Graph]) -> list[float]:

@@ -21,7 +21,7 @@ from spexlab.graphs import (
     make_multipartite,
     path_graph,
 )
-from spexlab.search import are_isomorphic, canonical_certificate, canonical_graph6
+from spexlab.search import _branches, are_isomorphic, canonical_certificate, canonical_graph6
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -172,6 +172,19 @@ def test_certificates_of_symmetric_graphs_are_pinned(g, name):
     rng = random.Random(7)
     for _ in range(20):
         assert canonical_graph6(relabelled(g, rng)) == name
+
+
+@pytest.mark.parametrize("found, prefixes", [
+    ([[1, 2, 3, 4, 5, 0]], [(0, 2), (0, 4)]),  # v -> v + 1 moves the prefix
+    ([[0, 5, 4, 3, 2, 1]], [(0, 2)]),  # v -> -v fixes 0 and swaps 2 and 4
+])
+def test_branches_prune_only_by_automorphisms_fixing_the_prefix(found, prefixes):
+    # C_6 with 0 individualised and refined: the rotation lies in a group that
+    # maps 2 to 4, but it moves 0, so it must not prune the node's children
+    rows = cycle_graph(6).rows
+    cells = [1 << 0, (1 << 2) | (1 << 4), 1 << 3, (1 << 1) | (1 << 5)]
+    children = _branches(rows, cells, 1, {2: 2, 4: 4}, (0,), found)
+    assert [prefix for _, prefix in children] == prefixes
 
 
 def test_certificates_of_long_cycles_paths_and_copies_are_fast():

@@ -22,6 +22,7 @@ from spexlab.graphs import (
     turan,
     y_graph,
 )
+from spexlab.quotient import NoRealRootError
 from spexlab.random_graphs import random_graph
 from spexlab.search import canonical_graph6
 from spexlab.spectral import _rho
@@ -372,29 +373,28 @@ def test_verify_trials_must_be_positive(capsys):
             assert "--trials" in err
 
 
-def test_seed_must_be_nonnegative(capsys, monkeypatch):
-    # spectrum --seed -1 exited 0 on graphs that eigh solves and 2 with numpy's
-    # message once power iteration ran; verify printed numpy's message too
-    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(complete_graph(5)) + "\n"))
-    for argv in (["spectrum", "--in", "-"], ["verify", "wilf", "--r", "3", "--n-max", "10"],
+def test_seed_must_be_nonnegative(capsys):
+    # verify printed numpy's message for a negative seed
+    for argv in (["verify", "wilf", "--r", "3", "--n-max", "10"],
                  ["verify", "rotation", "--trials", "1"]):
         code, out, err = run(capsys, *argv, "--seed", "-1")
         assert code == 2 and out == "", argv
         assert "--seed" in err and "must be >= 0, got -1" in err, argv
 
 
-def test_spectrum_maxiter_must_be_positive(capsys, monkeypatch):
-    # zero iterations used to end as an internal ConvergenceError (exit 3)
-    for maxiter in ("0", "-3"):
+def test_spectrum_has_no_solver_budget_or_seed_flags(capsys, monkeypatch):
+    # every solve finishes within n power-iteration steps and one eigh, from a
+    # fixed start vector: --maxiter and --seed are unknown flags
+    for flag in ("--maxiter", "--seed"):
         monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(path_graph(100)) + "\n"))
-        code, out, err = run(capsys, "spectrum", "--in", "-", "--maxiter", maxiter)
+        code, out, err = run(capsys, "spectrum", "--in", "-", flag, "3")
         assert code == 2 and out == ""
-        assert "--maxiter" in err
+        assert f"unrecognized arguments: {flag} 3" in err
 
 
 def test_tol_must_be_a_finite_number(capsys, monkeypatch):
     # nan used to pass every scan comparison (0 violations over 0 witnesses) and
-    # to run spectrum to --maxiter; a negative scan tol flagged every class
+    # to run spectrum out of its step budget; a negative scan tol flagged every class
     for tol in ("nan", "-1"):
         code, out, err = run(capsys, "scan", "--kind", "nosal_book", "--max-n", "6",
                              "--k", "2", "--tol", tol)
@@ -425,13 +425,16 @@ def test_json_output_is_strict(capsys):
 def test_internal_failure_exit_code(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(path_graph(100)) + "\n"))
-    code, out, err = run(capsys, "spectrum", "--in", "-", "--maxiter", "3")
-    assert code == 3 and out == ""
-    assert err.startswith("internal error: ConvergenceError")
-    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-
     import spexlab.cli as cli_mod
+
+    def no_root(*args, **kwargs):
+        raise NoRealRootError("no real root")
+
+    monkeypatch.setattr(cli_mod, "spectral_radius", no_root)
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph6_encode(path_graph(100)) + "\n"))
+    code, out, err = run(capsys, "spectrum", "--in", "-")
+    assert code == 3 and out == ""
+    assert err == "internal error: NoRealRootError: no real root\n"
 
     def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")

@@ -590,10 +590,10 @@ def test_worker_exceptions_that_would_not_unpickle_are_renamed(monkeypatch):
     # an exception whose constructor takes other arguments than its message
     # fails to unpickle in the parent, which would stop the pool's result
     # thread; it arrives as a RuntimeError that names it
-    from spexlab.spectral import ConvergenceError
+    from spexlab.quotient import EquitabilityError
 
     def rhos(graphs):
-        raise ConvergenceError(0.5, 3)
+        raise EquitabilityError(0, 1, 2, 3, 4, 5)
 
     def run():
         try:
@@ -609,7 +609,8 @@ def test_worker_exceptions_that_would_not_unpickle_are_renamed(monkeypatch):
     searching.join(timeout=60)
     assert not searching.is_alive(), "the census hangs"
     assert [type(exc) for exc in raised] == [RuntimeError]
-    assert str(raised[0]).startswith("ConvergenceError: power iteration did not converge in 3")
+    assert str(raised[0]) == ("EquitabilityError: partition not equitable: vertices 2 and 3 "
+                              "of cell 0 have 4 vs 5 neighbours in cell 1")
 
 
 def test_order9_non_3_partite_b31_champion_is_pinned():

@@ -22,13 +22,10 @@ from spexlab.graphs import (
 from spexlab.random_graphs import random_connected_graph, random_graph
 from spexlab.search import _census, enumerate_graphs
 from spexlab.spectral import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     DENSE_MAX_N,
     TIE_TOL,
-    ConvergenceError,
     SpectralResult,
-    _power_iterate_dense,
     adjacency_matrix,
     check_wilf,
     deletion_bound,
@@ -102,14 +99,25 @@ def test_adjacency_matrix_matches_edge_list():
         assert np.array_equal(adjacency_matrix(g), ref)
 
 
+def power_iteration_rho(a, tol=DEFAULT_TOL):
+    """Oracle: power iteration on A + I from the all-ones vector, run until
+    |A x - rho x|_inf <= tol with no step budget."""
+    x = np.ones(len(a))
+    while True:
+        ax = a @ x
+        rho = (x @ ax) / (x @ x)
+        if np.abs(ax - rho * x).max() <= tol:
+            return rho
+        x = (ax + x) / (ax + x).max()
+
+
 def test_dense_solver_matches_power_iteration_on_census():
     for g in enumerate_graphs(7):
         comp_rhos = []
         for comp in g.components():
             h = g.induced(comp)
             rho = spectral_radius(h).rho
-            power = _power_iterate_dense(adjacency_matrix(h), DEFAULT_TOL, DEFAULT_MAX_ITER, 0)
-            assert abs(rho - power[0]) <= 1e-9
+            assert abs(rho - power_iteration_rho(adjacency_matrix(h))) <= 1e-9
             comp_rhos.append(rho)
         assert spectral_radius(g).rho == max(comp_rhos)
 
@@ -274,23 +282,41 @@ def test_rotation_strictly_increases_rho():
         done += 1
 
 
-def test_convergence_error_carries_residual():
-    with pytest.raises(ConvergenceError) as ei:
-        spectral_radius(path_graph(100), tol=1e-14, max_iter=3)
-    assert ei.value.residual > 0
-    assert ei.value.iterations == 3
-    for max_iter in (0, -3):
-        with pytest.raises(ValueError, match="max_iter"):
-            spectral_radius(path_graph(100), max_iter=max_iter)
-    # a nan tol used to run to max_iter and end in ConvergenceError
+def test_tol_must_be_positive_and_finite():
+    # a nan tol used to run out the step budget and end in an internal error
     for tol in (0.0, -1e-9, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             spectral_radius(path_graph(100), tol=tol)
-    # a negative seed was refused by numpy only once power iteration ran; now
-    # it is refused before solving, also on a graph that eigh alone solves
-    for g in (path_graph(100), complete_graph(5)):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
-            spectral_radius(g, seed=-1)
+
+
+def barbell(n):
+    """Two copies of K_{n/4} joined by a path through the other n/2 vertices."""
+    k = n // 4
+    edges = [(lo + i, lo + j) for lo in (0, k) for i in range(k) for j in range(i)]
+    chain = [k - 1, *range(2 * k, n), 2 * k - 1]
+    return from_edges(n, edges + list(zip(chain, chain[1:])))
+
+
+@pytest.mark.parametrize("make", [path_graph, cycle_graph, barbell])
+def test_power_iteration_hands_over_to_eigh_after_n_steps(make):
+    # a path needs about 0.5 n^2 steps to tol; n steps are the most any
+    # component above DENSE_MAX_N vertices gets before eigh solves it
+    g = make(300)
+    assert g.is_connected() and len(set(g.rows)) == g.n
+    res = spectral_radius(g)
+    assert 0 < res.iterations <= g.n
+    assert res.residual <= (DEFAULT_TOL if res.iterations < g.n else 1e-13)
+    if make is barbell:
+        # the top two eigenvalues agree far below machine precision, so eigh's
+        # top vector is some mix of the two; check rho and the residual alone
+        a = adjacency_matrix(g)
+        x = np.array(res.vector)
+        assert abs(res.rho - np.linalg.eigvalsh(a)[-1]) <= 1e-9 * res.rho
+        assert np.abs(a @ x - res.rho * x).max() <= DEFAULT_TOL and x.min() > 0
+    else:
+        assert_matches_oracle(g, res)
+    if make is path_graph:
+        assert res.iterations == g.n  # the hand-over
 
 
 def test_isolated_vertex_and_trivial_graphs():
@@ -375,8 +401,6 @@ def test_more_than_64_twin_classes_keep_the_dense_path():
     rho, finish = spectral_mod._solve_dense(adjacency_matrix(g))
     x, resid, its = finish()
     assert (res.rho, res.vector, res.residual, res.iterations) == (rho, tuple(x), resid, its)
-    with pytest.raises(ConvergenceError):
-        spectral_radius(g, max_iter=2)
 
 
 def test_disconnected_mixes_on_the_quotient_path():
@@ -419,16 +443,29 @@ def test_stacked_rhos_are_rho_bit_for_bit():
 
 
 def test_twin_free_and_small_results_are_pinned():
-    # sha256 of the reprs of these SpectralResults, taken before the twin
-    # quotient path existed: twin-free graphs keep the dense matrix and solver
+    # sha256 of the reprs of these SpectralResults, unchanged since before the
+    # twin quotient path and the n-step budget: each converges within 43 steps
     rng = np.random.default_rng(65)
     graphs = [random_connected_graph(n, (0.1, 0.3, 0.6)[n % 3], rng) for n in range(65, 131)]
-    graphs += [path_graph(100), cycle_graph(200)]
+    graphs += [cycle_graph(200)]
     h = hashlib.sha256()
     for g in graphs:
         assert len(set(g.rows)) == g.n
-        h.update(repr(spectral_radius(g)).encode())
-    assert h.hexdigest() == "28c42f3299ba2e4c40256e2bf49bf85492c85edbab8bc3be41ed708db7dd6638"
+        res = spectral_radius(g)
+        assert 0 < res.iterations < g.n
+        h.update(repr(res).encode())
+    assert h.hexdigest() == "50361b736aeaf067d12c6d9d940dbfb03c94449652822b68fa60f5482eb8b3a9"
+
+
+def test_path_result_after_the_hand_over_is_pinned():
+    # P_100 needed 6,610 steps to tol (rho 1.9990325645839764, residual 1e-10);
+    # after 100 steps eigh solves it
+    res = spectral_radius(path_graph(100))
+    assert repr(res.rho) == "1.9990325645839768" and res.iterations == 100
+    assert res.rho == pytest.approx(2 * math.cos(math.pi / 101), abs=1e-14)
+    assert res.residual < 1e-14
+    digest = hashlib.sha256(repr(res).encode()).hexdigest()
+    assert digest == "69a3feb40eb450f94948e648ab1578b3b4e2e81d0ec5c6e862b3d5c9b2b28ff0"
 
 
 def test_large_family_member_builds_no_dense_matrix(monkeypatch):
